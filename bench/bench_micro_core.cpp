@@ -1,6 +1,6 @@
 // Micro-benchmarks of the core primitives: the negabinary conversions,
-// partner computations, schedule generation, lowering, routing, and the
-// in-process executors.
+// partner computations, schedule generation, single-query simulation, and
+// the in-process executors.
 //
 // Plan: a Backend::custom sweep -- series are the primitives, the node axis
 // is the argument grid, the metric times one (primitive, arg) cell with a
@@ -22,11 +22,10 @@
 #include "core/nu.hpp"
 #include "core/tree.hpp"
 #include "exp/sweep.hpp"
+#include "harness/runner.hpp"
 #include "net/profiles.hpp"
-#include "net/simulate.hpp"
 #include "runtime/compiled_executor.hpp"
 #include "runtime/executor.hpp"
-#include "sched/compiled.hpp"
 
 using namespace bine;
 using Clock = std::chrono::steady_clock;
@@ -103,37 +102,19 @@ std::vector<Micro> micro_benches() {
                         coll::find_algorithm(sched::Collective::allreduce, "bine_send");
                     return [cfg, &entry] { sink = entry.make(cfg).num_steps(); };
                   }});
-  list.push_back({"lower_allreduce", {64, 512}, [](i64 p) {
-                    coll::Config cfg;
-                    cfg.p = p;
-                    cfg.elem_count = 1 << 16;
-                    auto sch = std::make_shared<sched::Schedule>(
-                        coll::find_algorithm(sched::Collective::allreduce, "bine_send")
-                            .make(cfg));
-                    auto scratch = std::make_shared<sched::CompiledSchedule>();
-                    return [sch, scratch] {
-                      sched::CompiledSchedule::lower_into(*sch, *scratch);
-                      sink = scratch->num_ops();
-                    };
-                  }});
   list.push_back({"simulate_allreduce", {64, 512}, [](i64 p) {
-                    coll::Config cfg;
-                    cfg.p = p;
-                    cfg.elem_count = 1 << 16;
-                    const auto sch =
-                        coll::find_algorithm(sched::Collective::allreduce, "bine_send")
-                            .make(cfg);
-                    const auto profile = net::lumi_profile();
-                    auto topo = std::shared_ptr<net::Topology>(profile.build(p));
-                    const auto pl = net::Placement::identity(p);
-                    // Route cache and lowering are hoisted, as in the harness
-                    // hot loop; this times the compiled engine itself.
-                    auto rc = std::make_shared<net::RouteCache>(*topo, pl);
-                    auto lowered = std::make_shared<sched::CompiledSchedule>(
-                        sched::CompiledSchedule::lower(sch));
-                    const net::CostParams cost = profile.cost;
-                    return [topo, rc, lowered, cost] {
-                      sink = static_cast<u64>(net::simulate(*lowered, *rc, cost).steps);
+                    // One single-query Runner::run (a 1x1 pool through the
+                    // production engine) on a warm runner: the schedule
+                    // cache, route table and route memo are already built.
+                    auto runner = std::make_shared<harness::Runner>(net::lumi_profile());
+                    const auto& entry =
+                        coll::find_algorithm(sched::Collective::allreduce, "bine_send");
+                    const i64 size_bytes = i64{4} << 16;
+                    (void)runner->run(sched::Collective::allreduce, entry, p, size_bytes);
+                    return [runner, &entry, p, size_bytes] {
+                      sink = static_cast<u64>(
+                          runner->run(sched::Collective::allreduce, entry, p, size_bytes)
+                              .steps);
                     };
                   }});
   list.push_back({"execute_allreduce", {16, 64}, [](i64 p) {

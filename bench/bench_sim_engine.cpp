@@ -1,44 +1,29 @@
 // Before/after benchmark of the simulation engine: the naive reference
 // (virtual route() per message, hash-map link accumulators, double routing
-// via measure_traffic) vs the compiled path (RouteCache + flat IR lowered
-// into reused buffers, one pass).
+// via measure_traffic) vs the production engine (net::simulate_candidates
+// over the cached size-free IR, a RouteCache and a warm PairRouteMemo -- the
+// shape every sweep cell runs).
 //
-// Plan: a Backend::custom sweep -- series are the non-specialized allreduce
-// algorithms, the size axis the paper's vector sizes, on a Torus(4x4x4).
-// Each cell generates its schedule (untimed, identical for both engines),
-// asserts engine parity, then times each engine; the per-cell engine times
-// ride in the row's extra field. plan.threads = 1: timing cells never
-// contend. Emits BENCH_sim.json as before.
-//
-// A second section times the SIZE-BATCHED engine (net::simulate_sizes: one
-// structural pass per schedule across the whole size axis) against the
-// per-size compiled loop on the same cell set, asserting bit-identical
-// output -- on the torus (dense accumulators) AND on a Dragonfly large
-// enough to take the sparse touched-link path, so both accumulator regimes
-// sit in the perf snapshot.
-//
-// A third section times the CANDIDATE-BATCHED engine
-// (net::simulate_candidates: the whole registry pool of one cell through a
-// shared union pair table and a warm PairRouteMemo) against the
-// per-candidate simulate_sizes loop it replaces, bit-identical, on the same
-// two topologies. Exit code gates the >= 1.5x amortization claim.
-#include <bit>
+// Cells: every non-specialized allreduce algorithm at the paper's vector
+// sizes, on a Torus(4x4x4) (dense, small link table) and on a 1,320-link
+// Dragonfly (sparse, large link table). Each cell generates its schedule
+// (untimed), asserts parity -- traffic, messages and steps exact, seconds
+// within 1e-12 relative -- then times each engine per (schedule, size) cell.
+// The exit code gates parity. Emits BENCH_sim.json.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "coll/registry.hpp"
-#include "exp/sweep.hpp"
 #include "fault/fault.hpp"
 #include "net/pair_route_memo.hpp"
 #include "net/route_cache.hpp"
 #include "net/simulate.hpp"
 #include "net/topology.hpp"
-#include "sched/compiled.hpp"
 #include "sched/schedule_cache.hpp"
 
 using namespace bine;
@@ -50,383 +35,136 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// Batched-vs-per-size comparison on one topology: every non-specialized
-/// allreduce schedule, the paper size axis, compiled per-size loop
-/// (resolve_into + simulate, the Runner hit path) vs ONE simulate_sizes
-/// call. Output must match bitwise; rates are per (schedule, size) cell.
-struct BatchedReport {
+/// Best of three rounds of `body`, each repeated for at least `budget`
+/// seconds: noise on a shared machine only ever adds time, so the min is
+/// the most faithful per-call cost.
+template <class Body>
+double time_call(double budget, Body&& body) {
+  double best = std::numeric_limits<double>::infinity();
+  for (int round = 0; round < 3; ++round) {
+    i64 n = 0;
+    const auto t0 = Clock::now();
+    while (seconds_since(t0) < budget) {
+      body();
+      ++n;
+    }
+    best = std::min(best, seconds_since(t0) / static_cast<double>(n));
+  }
+  return best;
+}
+
+struct Report {
   size_t cells = 0;
-  double compiled_rate = 0;  ///< per-size compiled engine, schedules/sec
-  double batched_rate = 0;   ///< size-batched engine, schedules/sec
-  double speedup = 0;
-  bool bit_identical = true;
   i64 num_links = 0;
+  double naive_rate = 0;       ///< reference engine, schedules/sec
+  double production_rate = 0;  ///< production engine, schedules/sec
+  double speedup = 0;
+  double max_rel_err = 0;
+  bool parity = true;
 };
 
-BatchedReport bench_batched(const net::Topology& topo, const net::CostParams& cp,
-                            const std::vector<i64>& sizes, double per_cell_budget) {
+Report bench_topology(const net::Topology& topo, const net::CostParams& cp,
+                      const std::vector<i64>& sizes, double budget) {
   const net::Placement pl = net::Placement::identity(topo.num_nodes());
   const net::RouteCache rc(topo, pl);
-  BatchedReport rep;
+  net::PairRouteMemo memo;
+  Report rep;
   rep.num_links = rc.num_links();
 
-  coll::Config cfg;
-  cfg.p = topo.num_nodes();
-  std::vector<i64> elem_counts(sizes.size());
-  for (size_t s = 0; s < sizes.size(); ++s)
-    elem_counts[s] = std::max<i64>(cfg.p, sizes[s] / cfg.elem_size);
-
-  double compiled_total = 0, batched_total = 0;
-  sched::CompiledSchedule lowered;
+  double naive_total = 0, production_total = 0, checksum = 0;
   for (const auto& entry : coll::algorithms_for(sched::Collective::allreduce)) {
     if (entry.specialized) continue;
-    if (entry.pow2_only && !is_pow2(cfg.p)) continue;
-    cfg.elem_count = elem_counts.back();
-    auto sf = std::make_shared<const sched::SizeFreeSchedule>(
-        sched::SizeFreeSchedule::from(entry.make(cfg)));
-    if (!sf->size_independent) continue;
+    if (entry.pow2_only && !is_pow2(topo.num_nodes())) continue;
+    for (const i64 size : sizes) {
+      coll::Config cfg;
+      cfg.p = topo.num_nodes();
+      cfg.elem_count = std::max<i64>(cfg.p, size / cfg.elem_size);
+      const sched::Schedule sch = entry.make(cfg);
+      const sched::SizeFreeSchedule sf = sched::SizeFreeSchedule::from(sch);
+      if (!sf.size_independent) continue;
+      const sched::SizeFreeSchedule* pool[] = {&sf};
+      const i64 elem_counts[] = {cfg.elem_count};
+      const auto production = [&] {
+        return net::simulate_candidates(pool, elem_counts, cfg.elem_size, rc, cp,
+                                        &memo)[0][0];
+      };
 
-    // Parity gate, bitwise: timing means nothing if the engines diverge.
-    const auto batched = net::simulate_sizes(*sf, elem_counts, cfg.elem_size, rc, cp);
-    for (size_t s = 0; s < elem_counts.size(); ++s) {
-      sched::SizeFreeSchedule::resolve_into(sf, elem_counts[s], cfg.elem_size, lowered);
-      const net::SimResult oracle = net::simulate(lowered, rc, cp);
-      if (std::bit_cast<u64>(batched[s].seconds) != std::bit_cast<u64>(oracle.seconds) ||
-          batched[s].traffic.total() != oracle.traffic.total() ||
-          batched[s].traffic.messages != oracle.traffic.messages) {
-        std::fprintf(stderr, "FAIL: batched engine diverges on %s/%s n=%lld\n",
-                     topo.name().c_str(), entry.name.c_str(),
-                     static_cast<long long>(elem_counts[s]));
-        rep.bit_identical = false;
+      // Parity gate: timing means nothing if the engines diverge.
+      const net::SimResult ref = net::simulate_reference(sch, topo, pl, cp);
+      const net::SimResult got = production();
+      const double rel = std::abs(got.seconds - ref.seconds) / std::abs(ref.seconds);
+      rep.max_rel_err = std::max(rep.max_rel_err, rel);
+      if (got.traffic.local_bytes != ref.traffic.local_bytes ||
+          got.traffic.global_bytes != ref.traffic.global_bytes ||
+          got.traffic.intra_node_bytes != ref.traffic.intra_node_bytes ||
+          got.traffic.messages != ref.traffic.messages || got.steps != ref.steps ||
+          rel > 1e-12) {
+        std::fprintf(stderr, "FAIL: engines diverge on %s/%s size=%lld (rel err %.3g)\n",
+                     topo.name().c_str(), entry.name.c_str(), static_cast<long long>(size),
+                     rel);
+        rep.parity = false;
+        continue;
       }
+
+      naive_total += time_call(
+          budget, [&] { checksum += net::simulate_reference(sch, topo, pl, cp).seconds; });
+      production_total += time_call(budget, [&] { checksum += production().seconds; });
+      ++rep.cells;
     }
-
-    // Best of three rounds per engine; the budget covers the whole size axis.
-    double checksum = 0;
-    auto time_engine = [&](auto&& body) {
-      double best = std::numeric_limits<double>::infinity();
-      for (int round = 0; round < 3; ++round) {
-        i64 n = 0;
-        const auto t0 = Clock::now();
-        while (seconds_since(t0) < per_cell_budget) {
-          body();
-          ++n;
-        }
-        best = std::min(best, seconds_since(t0) / static_cast<double>(n));
-      }
-      return best;
-    };
-    compiled_total += time_engine([&] {
-      for (const i64 n : elem_counts) {
-        sched::SizeFreeSchedule::resolve_into(sf, n, cfg.elem_size, lowered);
-        checksum += net::simulate(lowered, rc, cp).seconds;
-      }
-    });
-    batched_total += time_engine([&] {
-      checksum +=
-          net::simulate_sizes(*sf, elem_counts, cfg.elem_size, rc, cp).back().seconds;
-    });
-    (void)checksum;
-    rep.cells += elem_counts.size();
   }
-  rep.compiled_rate = static_cast<double>(rep.cells) / compiled_total;
-  rep.batched_rate = static_cast<double>(rep.cells) / batched_total;
-  rep.speedup = rep.batched_rate / rep.compiled_rate;
+  (void)checksum;
+  rep.naive_rate = static_cast<double>(rep.cells) / naive_total;
+  rep.production_rate = static_cast<double>(rep.cells) / production_total;
+  rep.speedup = rep.production_rate / rep.naive_rate;
   return rep;
 }
 
-/// Candidate-batched comparison on one topology: the full size-independent
-/// allreduce pool of the cell, per-candidate simulate_sizes loop vs ONE
-/// simulate_candidates call through a warm PairRouteMemo (the production
-/// shape: the process memo persists across cells). Output must match
-/// bitwise; rates are per (candidate, size) cell.
-struct CandidateReport {
-  size_t pool = 0;
-  size_t cells = 0;          ///< pool x size axis
-  double per_candidate_rate = 0;  ///< simulate_sizes loop, cells/sec
-  double candidate_rate = 0;      ///< one simulate_candidates call, cells/sec
-  double speedup = 0;
-  bool bit_identical = true;
-  i64 num_links = 0;
-};
-
-CandidateReport bench_candidates(const net::Topology& topo, const net::CostParams& cp,
-                                 const std::vector<i64>& sizes, double pool_budget) {
-  const net::Placement pl = net::Placement::identity(topo.num_nodes());
-  const net::RouteCache rc(topo, pl);
-  CandidateReport rep;
-  rep.num_links = rc.num_links();
-
-  coll::Config cfg;
-  cfg.p = topo.num_nodes();
-  std::vector<i64> elem_counts(sizes.size());
-  for (size_t s = 0; s < sizes.size(); ++s)
-    elem_counts[s] = std::max<i64>(cfg.p, sizes[s] / cfg.elem_size);
-
-  std::vector<std::shared_ptr<const sched::SizeFreeSchedule>> own;
-  std::vector<const sched::SizeFreeSchedule*> pool;
-  for (const auto& entry : coll::algorithms_for(sched::Collective::allreduce)) {
-    if (entry.specialized) continue;
-    if (entry.pow2_only && !is_pow2(cfg.p)) continue;
-    cfg.elem_count = elem_counts.back();
-    auto sf = std::make_shared<const sched::SizeFreeSchedule>(
-        sched::SizeFreeSchedule::from(entry.make(cfg)));
-    if (!sf->size_independent) continue;
-    own.push_back(std::move(sf));
-    pool.push_back(own.back().get());
-  }
-  rep.pool = pool.size();
-  rep.cells = pool.size() * elem_counts.size();
-
-  // Parity gate, bitwise, against the exact loop being replaced.
-  net::PairRouteMemo memo;
-  const auto batched =
-      net::simulate_candidates(pool, elem_counts, cfg.elem_size, rc, cp, &memo);
-  for (size_t k = 0; k < pool.size(); ++k) {
-    const auto oracle = net::simulate_sizes(*pool[k], elem_counts, cfg.elem_size, rc, cp);
-    for (size_t s = 0; s < elem_counts.size(); ++s)
-      if (std::bit_cast<u64>(batched[k][s].seconds) !=
-              std::bit_cast<u64>(oracle[s].seconds) ||
-          batched[k][s].traffic.total() != oracle[s].traffic.total() ||
-          batched[k][s].traffic.messages != oracle[s].traffic.messages) {
-        std::fprintf(stderr, "FAIL: candidate engine diverges on %s cand=%zu n=%lld\n",
-                     topo.name().c_str(), k, static_cast<long long>(elem_counts[s]));
-        rep.bit_identical = false;
-      }
-  }
-
-  // Best of three rounds per engine; the budget covers the whole pool pass.
-  double checksum = 0;
-  auto time_engine = [&](auto&& body) {
-    double best = std::numeric_limits<double>::infinity();
-    for (int round = 0; round < 3; ++round) {
-      i64 n = 0;
-      const auto t0 = Clock::now();
-      while (seconds_since(t0) < pool_budget) {
-        body();
-        ++n;
-      }
-      best = std::min(best, seconds_since(t0) / static_cast<double>(n));
-    }
-    return best;
-  };
-  const double loop_total = time_engine([&] {
-    for (const auto* sf : pool)
-      checksum +=
-          net::simulate_sizes(*sf, elem_counts, cfg.elem_size, rc, cp).back().seconds;
-  });
-  const double cand_total = time_engine([&] {
-    checksum += net::simulate_candidates(pool, elem_counts, cfg.elem_size, rc, cp, &memo)
-                    .back()
-                    .back()
-                    .seconds;
-  });
-  (void)checksum;
-  rep.per_candidate_rate = static_cast<double>(rep.cells) / loop_total;
-  rep.candidate_rate = static_cast<double>(rep.cells) / cand_total;
-  rep.speedup = rep.candidate_rate / rep.per_candidate_rate;
-  return rep;
+void print(const char* name, const Report& r) {
+  std::printf("%-10s %5lld links %3zu cells  naive %10.1f/s  production %10.1f/s  "
+              "%7.2fx  (parity rel err %.3g)\n",
+              name, static_cast<long long>(r.num_links), r.cells, r.naive_rate,
+              r.production_rate, r.speedup, r.max_rel_err);
 }
 
 }  // namespace
 
 int main() {
-  const net::Torus topo({4, 4, 4}, 6.8e9);
-  const net::Placement pl = net::Placement::identity(topo.num_nodes());
-  net::CostParams cp;
-  cp.alpha_local = cp.alpha_global = 1.0e-6;  // torus: no separate global tier
-
-  exp::SweepPlan plan;
-  plan.name = "sim_engine";
-  plan.backend = exp::Backend::custom;
-  plan.threads = 1;
-  plan.nodes.counts = {topo.num_nodes()};
-  plan.sizes = {32, 256, 2048, 16384, 131072, 1048576, 8388608};
-  for (const auto& entry : coll::algorithms_for(sched::Collective::allreduce)) {
-    if (entry.specialized) continue;
-    if (entry.pow2_only && !is_pow2(topo.num_nodes())) continue;
-    plan.series.push_back(exp::Series::best_of(entry.name, {}));
-  }
-  std::printf("sweep: %zu allreduce schedules on torus 4x4x4 (%lld ranks)\n",
-              plan.series.size() * plan.sizes.size(),
-              static_cast<long long>(topo.num_nodes()));
-
-  const net::RouteCache rc(topo, pl);
-  sched::CompiledSchedule lowered;  // reused across cells, as the harness does
-  const double per_cell_budget = 0.01;
-  bool parity_failed = false;
-
-  plan.metric = [&](const exp::CellCtx& ctx) -> exp::Metrics {
-    if (parity_failed) return {};  // fail fast: skip the remaining timings
-    coll::Config cfg;
-    cfg.p = topo.num_nodes();
-    cfg.elem_count = std::max<i64>(cfg.p, ctx.size_bytes / cfg.elem_size);
-    const std::string& algorithm =
-        ctx.plan->series[ctx.series].label;
-    const sched::Schedule sch =
-        coll::find_algorithm(sched::Collective::allreduce, algorithm).make(cfg);
-
-    exp::Metrics m;
-    m.algorithm = algorithm;
-
-    // Parity gate: the two engines must agree before timing means anything.
-    const net::SimResult ref = net::simulate_reference(sch, topo, pl, cp);
-    sched::CompiledSchedule::lower_into(sch, lowered);
-    const net::SimResult fast = net::simulate(lowered, rc, cp);
-    if (ref.traffic.local_bytes != fast.traffic.local_bytes ||
-        ref.traffic.global_bytes != fast.traffic.global_bytes ||
-        ref.traffic.intra_node_bytes != fast.traffic.intra_node_bytes ||
-        ref.traffic.messages != fast.traffic.messages) {
-      std::fprintf(stderr, "FAIL: traffic mismatch on %s\n", algorithm.c_str());
-      parity_failed = true;
-      return m;
-    }
-    const double rel = std::abs(fast.seconds - ref.seconds) / std::abs(ref.seconds);
-    if (rel > 1e-12) {
-      std::fprintf(stderr, "FAIL: seconds diverge on %s (rel err %.3g > 1e-12)\n",
-                   algorithm.c_str(), rel);
-      parity_failed = true;
-      return m;
-    }
-
-    // Best of three rounds per engine: noise on a shared machine only ever
-    // adds time, so the min is the most faithful per-cell cost.
-    double checksum = 0;
-    auto time_engine = [&](auto&& body) {
-      double best = std::numeric_limits<double>::infinity();
-      for (int round = 0; round < 3; ++round) {
-        i64 n = 0;
-        const auto t0 = Clock::now();
-        while (seconds_since(t0) < per_cell_budget) {
-          body();
-          ++n;
-        }
-        best = std::min(best, seconds_since(t0) / static_cast<double>(n));
-      }
-      return best;
-    };
-    const double naive = time_engine(
-        [&] { checksum += net::simulate_reference(sch, topo, pl, cp).seconds; });
-    const double compiled = time_engine([&] {
-      sched::CompiledSchedule::lower_into(sch, lowered);
-      checksum += net::simulate(lowered, rc, cp).seconds;
-    });
-    (void)checksum;
-    m.extra = {naive, compiled, rel};
-    return m;
-  };
-
-  const exp::SweepResult result = exp::run(plan);
-  if (parity_failed) return 1;
-
-  double naive_total = 0, compiled_total = 0, max_rel_err = 0;
-  for (const exp::Row& row : result.rows) {
-    naive_total += row.m.extra[0];
-    compiled_total += row.m.extra[1];
-    max_rel_err = std::max(max_rel_err, row.m.extra[2]);
-  }
-  const size_t cells = result.rows.size();
-  const double naive_rate = static_cast<double>(cells) / naive_total;
-  const double compiled_rate = static_cast<double>(cells) / compiled_total;
-  const double speedup = compiled_rate / naive_rate;
-  std::printf("naive:    %10.1f schedules/sec (%.2f ms per sweep pass)\n", naive_rate,
-              1e3 * naive_total);
-  std::printf("compiled: %10.1f schedules/sec (%.2f ms per sweep pass)\n", compiled_rate,
-              1e3 * compiled_total);
-  std::printf("speedup:  %10.2fx   (parity rel err %.3g)\n", speedup, max_rel_err);
-
-  // Size-batched engine (one structural pass per schedule across the whole
-  // size axis) vs the per-size compiled loop, on the dense-accumulator torus
-  // and on a dragonfly large enough for the sparse touched-link path. The
-  // compiled baseline here is resolve_into + simulate -- the schedule-cache
-  // hit path, i.e. the strictest version of "the current compiled engine".
-  const BatchedReport torus_batched = bench_batched(topo, cp, plan.sizes, 0.01);
-  // 384 ranks, 1320 links: past the scalar engine's 1024-link dense-scan
-  // threshold, so the sparse touched-link path is what gets compared. The
-  // larger budget keeps several reps inside each round even for the ring
-  // schedule (~20 ms per batched pass at 384 ranks).
+  const std::vector<i64> sizes = {32, 256, 2048, 16384, 131072, 1048576, 8388608};
+  const net::Torus torus({4, 4, 4}, 6.8e9);
+  net::CostParams torus_cp;
+  torus_cp.alpha_local = torus_cp.alpha_global = 1.0e-6;  // no separate global tier
+  // 384 ranks, 1,320 links, default alphas: a real global tier.
   const net::Dragonfly dragonfly(24, 16, 1, 25e9, 25e9);
-  const net::CostParams dragonfly_cp;  // default alphas: a real global tier
-  const BatchedReport dragonfly_batched =
-      bench_batched(dragonfly, dragonfly_cp, plan.sizes, 0.05);
-  std::printf("batched (torus, %lld links):     %10.1f schedules/sec  "
-              "(%.2fx vs per-size compiled, %s)\n",
-              static_cast<long long>(torus_batched.num_links),
-              torus_batched.batched_rate, torus_batched.speedup,
-              torus_batched.bit_identical ? "bit-identical" : "DIVERGED");
-  std::printf("batched (dragonfly, %lld links): %10.1f schedules/sec  "
-              "(%.2fx vs per-size compiled, %s)\n",
-              static_cast<long long>(dragonfly_batched.num_links),
-              dragonfly_batched.batched_rate, dragonfly_batched.speedup,
-              dragonfly_batched.bit_identical ? "bit-identical" : "DIVERGED");
-  if (!torus_batched.bit_identical || !dragonfly_batched.bit_identical) return 1;
 
-  // Candidate-batched engine (the whole registry pool of one cell in one
-  // structural pass, routes through a warm PairRouteMemo) vs the
-  // per-candidate simulate_sizes loop, same two topologies.
-  const CandidateReport torus_cand = bench_candidates(topo, cp, plan.sizes, 0.05);
-  const CandidateReport dragonfly_cand =
-      bench_candidates(dragonfly, dragonfly_cp, plan.sizes, 0.25);
-  std::printf("candidates (torus, pool %zu):     %10.1f cells/sec  "
-              "(%.2fx vs per-candidate simulate_sizes, %s)\n",
-              torus_cand.pool, torus_cand.candidate_rate, torus_cand.speedup,
-              torus_cand.bit_identical ? "bit-identical" : "DIVERGED");
-  std::printf("candidates (dragonfly, pool %zu): %10.1f cells/sec  "
-              "(%.2fx vs per-candidate simulate_sizes, %s)\n",
-              dragonfly_cand.pool, dragonfly_cand.candidate_rate,
-              dragonfly_cand.speedup,
-              dragonfly_cand.bit_identical ? "bit-identical" : "DIVERGED");
-  const bool candidate_gate = torus_cand.bit_identical && dragonfly_cand.bit_identical &&
-                              torus_cand.speedup >= 1.5 && dragonfly_cand.speedup >= 1.5;
-  if (!candidate_gate)
-    std::fprintf(stderr, "FAIL: candidate-batched gate (>= 1.5x, bit-identical) "
-                         "not met: torus %.2fx, dragonfly %.2fx\n",
-                 torus_cand.speedup, dragonfly_cand.speedup);
+  const Report t = bench_topology(torus, torus_cp, sizes, 0.01);
+  const Report d = bench_topology(dragonfly, net::CostParams{}, sizes, 0.01);
+  print("torus", t);
+  print("dragonfly", d);
 
   if (fault::AtomicFile out("BENCH_sim.json"); std::FILE* f = out.handle()) {
     std::fprintf(f,
                  "{\n"
                  "  \"bench\": \"sim_engine\",\n"
-                 "  \"topology\": \"torus_4x4x4\",\n"
                  "  \"collective\": \"allreduce\",\n"
-                 "  \"num_schedules\": %zu,\n"
-                 "  \"naive_schedules_per_sec\": %.1f,\n"
-                 "  \"compiled_schedules_per_sec\": %.1f,\n"
-                 "  \"speedup\": %.2f,\n"
-                 "  \"parity_max_rel_err\": %.3g,\n"
-                 "  \"per_size_compiled_schedules_per_sec\": %.1f,\n"
-                 "  \"per_schedule_rate_batched\": %.1f,\n"
-                 "  \"batched_speedup\": %.2f,\n"
-                 "  \"batched_bit_identical\": %s,\n"
+                 "  \"hardware_threads\": %u,\n"
+                 "  \"torus_4x4x4_cells\": %zu,\n"
+                 "  \"torus_naive_schedules_per_sec\": %.1f,\n"
+                 "  \"torus_production_schedules_per_sec\": %.1f,\n"
+                 "  \"torus_speedup\": %.2f,\n"
                  "  \"dragonfly_num_links\": %lld,\n"
-                 "  \"dragonfly_per_size_compiled_schedules_per_sec\": %.1f,\n"
-                 "  \"dragonfly_per_schedule_rate_batched\": %.1f,\n"
-                 "  \"dragonfly_batched_speedup\": %.2f,\n"
-                 "  \"dragonfly_batched_bit_identical\": %s,\n"
-                 "  \"candidate_pool\": %zu,\n"
-                 "  \"candidate_loop_cells_per_sec\": %.1f,\n"
-                 "  \"candidate_batched_cells_per_sec\": %.1f,\n"
-                 "  \"candidate_batched_speedup\": %.2f,\n"
-                 "  \"dragonfly_candidate_pool\": %zu,\n"
-                 "  \"dragonfly_candidate_loop_cells_per_sec\": %.1f,\n"
-                 "  \"dragonfly_candidate_batched_cells_per_sec\": %.1f,\n"
-                 "  \"dragonfly_candidate_batched_speedup\": %.2f,\n"
-                 "  \"candidate_batched_bit_identical\": %s\n"
+                 "  \"dragonfly_cells\": %zu,\n"
+                 "  \"dragonfly_naive_schedules_per_sec\": %.1f,\n"
+                 "  \"dragonfly_production_schedules_per_sec\": %.1f,\n"
+                 "  \"dragonfly_speedup\": %.2f,\n"
+                 "  \"parity_max_rel_err\": %.3g,\n"
+                 "  \"parity\": %s\n"
                  "}\n",
-                 cells, naive_rate, compiled_rate, speedup, max_rel_err,
-                 torus_batched.compiled_rate, torus_batched.batched_rate,
-                 torus_batched.speedup, torus_batched.bit_identical ? "true" : "false",
-                 static_cast<long long>(dragonfly_batched.num_links),
-                 dragonfly_batched.compiled_rate, dragonfly_batched.batched_rate,
-                 dragonfly_batched.speedup,
-                 dragonfly_batched.bit_identical ? "true" : "false",
-                 torus_cand.pool, torus_cand.per_candidate_rate,
-                 torus_cand.candidate_rate, torus_cand.speedup,
-                 dragonfly_cand.pool, dragonfly_cand.per_candidate_rate,
-                 dragonfly_cand.candidate_rate, dragonfly_cand.speedup,
-                 torus_cand.bit_identical && dragonfly_cand.bit_identical ? "true"
-                                                                          : "false");
+                 std::thread::hardware_concurrency(), t.cells, t.naive_rate,
+                 t.production_rate, t.speedup,
+                 static_cast<long long>(d.num_links), d.cells, d.naive_rate,
+                 d.production_rate, d.speedup, std::max(t.max_rel_err, d.max_rel_err),
+                 t.parity && d.parity ? "true" : "false");
     if (out.commit()) std::printf("wrote BENCH_sim.json\n");
   }
-  return candidate_gate ? 0 : 1;
+  return t.parity && d.parity ? 0 : 1;
 }

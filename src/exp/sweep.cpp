@@ -277,10 +277,9 @@ void measure_cell(const SweepPlan& plan, const Axes& ax, const Item& item,
   std::vector<std::optional<harness::VerifiedRun>> veval(verified ? names.size() : 0);
 
   // Simulation backends hand the cell's WHOLE candidate pool and size axis
-  // to the batched engine in one call: Runner::run_candidates makes one
-  // structural pass per cell (union pair table through the process route
-  // memo, shared lane tiles) -- bit-identical to looping run_sizes per
-  // candidate, which was itself bit-identical to the per-size path.
+  // to the engine in one call: Runner::run_candidates makes one structural
+  // pass per cell (union pair table through the process route memo, shared
+  // lane tiles) -- bit-identical to a per-size Runner::run per candidate.
   // Verified execution stays per-size (real buffers scale with the vector).
   std::vector<std::vector<harness::RunResult>> eval_sizes;
   if (!verified) {
@@ -314,8 +313,8 @@ void measure_cell(const SweepPlan& plan, const Axes& ax, const Item& item,
       Metrics m;
       switch (s.pick) {
         case Series::Pick::best: {
-          // The exact selection (and tie-break) Runner::best_of performs:
-          // strict <, candidates in the series' own order.
+          // The best-of selection and tie-break: strict <, candidates in
+          // the series' own order.
           double best = std::numeric_limits<double>::infinity();
           size_t best_n = names.size();
           for (const size_t n : cands[k])

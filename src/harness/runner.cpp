@@ -2,18 +2,13 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
-#include <limits>
 #include <stdexcept>
-#include <tuple>
 #include <type_traits>
 
 #include "core/fnv.hpp"
-#include "harness/parallel.hpp"
 #include "net/simulate.hpp"
 #include "runtime/compiled_executor.hpp"
 #include "runtime/verify.hpp"
-#include "sched/compiled.hpp"
 
 namespace bine::harness {
 
@@ -44,14 +39,6 @@ bool schedule_cache_default() {
     if (v == "0" || v == "false" || v == "off" || v == "no") return false;
   }
   return true;
-}
-
-/// One resident SoA scratch per worker thread, shared by the cached and
-/// uncached paths (the arrays are deliberately kept large to stay above the
-/// mmap threshold; two copies per thread would double that for nothing).
-sched::CompiledSchedule& thread_lowered_scratch() {
-  static thread_local sched::CompiledSchedule lowered;
-  return lowered;
 }
 
 }  // namespace
@@ -172,11 +159,6 @@ RunResult to_run_result(const net::SimResult& sim) {
 
 }  // namespace
 
-RunResult Runner::simulate_lowered(const sched::CompiledSchedule& lowered,
-                                   Sized& sized) const {
-  return to_run_result(net::simulate(lowered, *sized.routes, profile_.cost));
-}
-
 std::shared_ptr<const sched::SizeFreeSchedule> Runner::cached_entry(
     Collective coll, const coll::AlgorithmEntry& algo, const coll::Config& cfg) {
   if (!use_schedule_cache_) return nullptr;
@@ -197,51 +179,11 @@ std::shared_ptr<const sched::SizeFreeSchedule> Runner::cached_entry(
   return entry;
 }
 
-RunResult Runner::run(Collective coll, const coll::AlgorithmEntry& algo_in, i64 nodes,
+RunResult Runner::run(Collective coll, const coll::AlgorithmEntry& algo, i64 nodes,
                       i64 size_bytes) {
-  const coll::Config cfg = cell_config(nodes, size_bytes);
-  const coll::AlgorithmEntry& algo = resolve_algorithm(coll, algo_in, cfg.p, size_bytes);
-  if (auto entry = cached_entry(coll, algo, cfg)) {
-    Sized& sized = sized_for(nodes);
-    // Per-worker scratch: resolving into resident arrays avoids re-mmapping
-    // the bytes column for every cell of a sweep.
-    sched::CompiledSchedule& lowered = thread_lowered_scratch();
-    sched::SizeFreeSchedule::resolve_into(std::move(entry), cfg.elem_count,
-                                          cfg.elem_size, lowered);
-    return simulate_lowered(lowered, sized);
-  }
-  return run_uncached(coll, algo, nodes, size_bytes);
-}
-
-std::vector<RunResult> Runner::run_sizes(Collective coll,
-                                         const coll::AlgorithmEntry& algo_in, i64 nodes,
-                                         std::span<const i64> sizes_bytes) {
-  std::vector<RunResult> out(sizes_bytes.size());
-  if (sizes_bytes.empty()) return out;
-  // The batched engine needs ONE schedule across the axis: fault demotion is
-  // size-dependent (the heuristic recommendation keys on size), so batch only
-  // when every size resolves to the same algorithm entry.
-  const coll::Config cfg = cell_config(nodes, sizes_bytes[0]);
-  const coll::AlgorithmEntry& resolved =
-      resolve_algorithm(coll, algo_in, cfg.p, sizes_bytes[0]);
-  bool uniform = true;
-  for (size_t s = 1; s < sizes_bytes.size() && uniform; ++s)
-    uniform = &resolve_algorithm(coll, algo_in, cfg.p, sizes_bytes[s]) == &resolved;
-  if (uniform) {
-    if (auto entry = cached_entry(coll, resolved, cfg)) {
-      Sized& sized = sized_for(nodes);
-      std::vector<i64> elem_counts(sizes_bytes.size());
-      for (size_t s = 0; s < sizes_bytes.size(); ++s)
-        elem_counts[s] = cell_config(nodes, sizes_bytes[s]).elem_count;
-      const std::vector<net::SimResult> sims = net::simulate_sizes(
-          *entry, elem_counts, cfg.elem_size, *sized.routes, profile_.cost);
-      for (size_t s = 0; s < sims.size(); ++s) out[s] = to_run_result(sims[s]);
-      return out;
-    }
-  }
-  for (size_t s = 0; s < sizes_bytes.size(); ++s)
-    out[s] = run(coll, algo_in, nodes, sizes_bytes[s]);
-  return out;
+  const coll::AlgorithmEntry* pool[] = {&algo};
+  const i64 sizes[] = {size_bytes};
+  return run_candidates(coll, pool, nodes, sizes)[0][0];
 }
 
 std::vector<std::vector<RunResult>> Runner::run_candidates(
@@ -250,35 +192,46 @@ std::vector<std::vector<RunResult>> Runner::run_candidates(
   std::vector<std::vector<RunResult>> out(algos.size());
   if (sizes_bytes.empty()) return out;
   const coll::Config cfg = cell_config(nodes, sizes_bytes[0]);
+  std::vector<i64> elem_counts(sizes_bytes.size());
+  for (size_t s = 0; s < sizes_bytes.size(); ++s)
+    elem_counts[s] = cell_config(nodes, sizes_bytes[s]).elem_count;
 
-  // Partition the pool: candidates with a usable size-free entry (and
-  // size-uniform fault resolution, the run_sizes batching precondition) join
-  // the single batched pass; the rest fall back per candidate. The entry
+  // Partition the pool: candidates with a usable size-free entry join the
+  // single batched pass; the rest are simulated on their own. The entry
   // handles outlive the batched call.
   std::vector<std::shared_ptr<const sched::SizeFreeSchedule>> entries(algos.size());
   std::vector<const sched::SizeFreeSchedule*> batch(algos.size(), nullptr);
   bool any_batched = false;
   for (size_t k = 0; k < algos.size(); ++k) {
     if (algos[k] == nullptr) continue;
+    // Fault demotion keys on size (the heuristic recommendation does), so a
+    // candidate batches only when every size resolves to the same entry.
     const coll::AlgorithmEntry& resolved =
         resolve_algorithm(coll, *algos[k], cfg.p, sizes_bytes[0]);
     bool uniform = true;
     for (size_t s = 1; s < sizes_bytes.size() && uniform; ++s)
       uniform = &resolve_algorithm(coll, *algos[k], cfg.p, sizes_bytes[s]) == &resolved;
-    if (uniform) entries[k] = cached_entry(coll, resolved, cfg);
+    if (!uniform) {
+      for (const i64 size : sizes_bytes)
+        out[k].push_back(run(coll, *algos[k], nodes, size));
+      continue;
+    }
+    entries[k] = cached_entry(coll, resolved, cfg);
     if (entries[k]) {
       batch[k] = entries[k].get();
       any_batched = true;
-    } else {
-      out[k] = run_sizes(coll, *algos[k], nodes, sizes_bytes);
+      continue;
     }
+    // No usable entry (cache off, or demoted): fresh generation per size.
+    Sized& sized = sized_for(nodes);
+    for (const i64 size : sizes_bytes)
+      out[k].push_back(to_run_result(
+          net::simulate(resolved.make(cell_config(nodes, size)), *sized.routes,
+                        profile_.cost, &net::process_route_memo())));
   }
   if (!any_batched) return out;
 
   Sized& sized = sized_for(nodes);
-  std::vector<i64> elem_counts(sizes_bytes.size());
-  for (size_t s = 0; s < sizes_bytes.size(); ++s)
-    elem_counts[s] = cell_config(nodes, sizes_bytes[s]).elem_count;
   const std::vector<std::vector<net::SimResult>> sims = net::simulate_candidates(
       batch, elem_counts, cfg.elem_size, *sized.routes, profile_.cost,
       &net::process_route_memo());
@@ -405,57 +358,9 @@ VerifiedRun Runner::run_verified(Collective coll, const coll::AlgorithmEntry& al
   throw std::logic_error("unknown element type");
 }
 
-std::vector<VerifiedRun> Runner::sweep_verified(const std::vector<VerifiedQuery>& queries,
-                                                i64 threads, i64 exec_threads) {
-  // Cells already fan out across the sweep workers; letting every worker's
-  // executor also auto-thread (exec_threads == 0 at >= 1 MiB vectors) would
-  // nest thread pools and oversubscribe. Only an effectively serial sweep
-  // (one worker, or a single query) passes the auto default through.
-  i64 workers = threads <= 0 ? default_thread_count() : threads;
-  workers = std::min<i64>(workers, static_cast<i64>(queries.size()));
-  if (exec_threads == 0 && workers > 1) exec_threads = 1;
-  std::vector<VerifiedRun> results(queries.size());
-  parallel_for(
-      static_cast<i64>(queries.size()),
-      [&](i64 i) {
-        const VerifiedQuery& q = queries[static_cast<size_t>(i)];
-        const auto& entry = coll::find_algorithm(q.coll, q.algorithm);
-        results[static_cast<size_t>(i)] = run_verified(
-            q.coll, entry, q.nodes, q.size_bytes, exec_threads, q.elem, q.op);
-      },
-      threads);
-  return results;
-}
-
 void Runner::use_private_schedule_cache() {
   private_cache_ = std::make_unique<sched::ScheduleCache>();
   sched_cache_ = private_cache_.get();
-}
-
-RunResult Runner::run_uncached(Collective coll, const coll::AlgorithmEntry& algo_in,
-                               i64 nodes, i64 size_bytes) {
-  const coll::Config cfg = cell_config(nodes, size_bytes);
-  const coll::AlgorithmEntry& algo = resolve_algorithm(coll, algo_in, cfg.p, size_bytes);
-  const sched::Schedule sch = algo.make(cfg);
-  Sized& sized = sized_for(nodes);
-  sched::CompiledSchedule& lowered = thread_lowered_scratch();
-  sched::CompiledSchedule::lower_into(sch, lowered);
-  return simulate_lowered(lowered, sized);
-}
-
-std::pair<std::string, RunResult> Runner::best_of(Collective coll,
-                                                  const std::vector<std::string>& names,
-                                                  i64 nodes, i64 size_bytes) {
-  std::pair<std::string, RunResult> best{"", {}};
-  best.second.seconds = std::numeric_limits<double>::infinity();
-  for (const std::string& name : names) {
-    const auto& entry = coll::find_algorithm(coll, name);
-    if (!applicable(entry, nodes)) continue;
-    const RunResult r = run(coll, entry, nodes, size_bytes);
-    if (r.seconds < best.second.seconds) best = {name, r};
-  }
-  if (best.first.empty()) throw std::runtime_error("no applicable algorithm");
-  return best;
 }
 
 std::vector<std::string> Runner::bine_names(Collective coll, bool contiguous_only) const {
@@ -480,113 +385,6 @@ std::vector<std::string> Runner::binomial_names(Collective coll) const {
     case Collective::alltoall: return {"bruck"};
   }
   throw std::logic_error("unknown collective");
-}
-
-std::pair<std::string, RunResult> Runner::best_bine(Collective coll, i64 nodes,
-                                                    i64 size_bytes, bool contiguous_only) {
-  return best_of(coll, bine_names(coll, contiguous_only), nodes, size_bytes);
-}
-
-std::pair<std::string, RunResult> Runner::best_binomial(Collective coll, i64 nodes,
-                                                        i64 size_bytes) {
-  return best_of(coll, binomial_names(coll), nodes, size_bytes);
-}
-
-std::vector<std::pair<std::string, RunResult>> Runner::sweep(
-    const std::vector<SweepQuery>& queries, i64 threads, const CancelToken* cancel) {
-  // Warm the per-node machine caches serially so workers only compete for
-  // cells, not for building the same topology/route table under the lock.
-  for (const SweepQuery& q : queries) (void)sized_for(q.nodes);
-
-  const auto names_for = [&](const SweepQuery& q) {
-    switch (q.kind) {
-      case SweepQuery::Kind::bine: return bine_names(q.coll, q.contiguous_only);
-      case SweepQuery::Kind::binomial: return binomial_names(q.coll);
-      case SweepQuery::Kind::sota: return sota_names(q.coll);
-    }
-    throw std::logic_error("unknown sweep kind");
-  };
-
-  // Batch all queries of one (collective, nodes) cell -- every size row of
-  // one table column, across the bine/binomial/sota kinds -- into a single
-  // work item evaluating the union of their candidate algorithms exactly
-  // once, each across the cell's whole size axis via run_sizes (ONE
-  // structural pass per candidate instead of one per size). This kills the
-  // generation duplication between best_bine/best_binomial (their baseline
-  // families overlap with the sota set) and gives the schedule cache a
-  // deterministic access pattern regardless of thread count.
-  struct Cell {
-    Collective coll{};
-    i64 nodes = 0;
-    std::vector<i64> sizes;          ///< size axis, first-use order
-    std::vector<size_t> query_indices;
-    std::vector<size_t> query_size;  ///< per query: index into `sizes`
-    std::vector<std::string> names;  ///< union of candidates, first-use order
-    /// Per query (parallel to query_indices): its candidates as indices into
-    /// `names`, in the query's own selection order -- resolved once here so
-    /// workers neither rescan the registry nor search names by string.
-    std::vector<std::vector<size_t>> query_candidates;
-  };
-  std::vector<Cell> cells;
-  std::map<std::pair<int, i64>, size_t> cell_index;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const SweepQuery& q = queries[i];
-    const auto key = std::make_pair(static_cast<int>(q.coll), q.nodes);
-    auto [it, inserted] = cell_index.emplace(key, cells.size());
-    if (inserted) cells.push_back(Cell{q.coll, q.nodes, {}, {}, {}, {}, {}});
-    Cell& cell = cells[it->second];
-    cell.query_indices.push_back(i);
-    auto spos = std::find(cell.sizes.begin(), cell.sizes.end(), q.size_bytes);
-    if (spos == cell.sizes.end()) {
-      cell.sizes.push_back(q.size_bytes);
-      spos = cell.sizes.end() - 1;
-    }
-    cell.query_size.push_back(static_cast<size_t>(spos - cell.sizes.begin()));
-    std::vector<size_t> candidates;
-    for (std::string& name : names_for(q)) {
-      auto pos = std::find(cell.names.begin(), cell.names.end(), name);
-      if (pos == cell.names.end()) {
-        cell.names.push_back(std::move(name));
-        pos = cell.names.end() - 1;
-      }
-      candidates.push_back(static_cast<size_t>(pos - cell.names.begin()));
-    }
-    cell.query_candidates.push_back(std::move(candidates));
-  }
-
-  std::vector<std::pair<std::string, RunResult>> results(queries.size());
-  parallel_for(
-      static_cast<i64>(cells.size()),
-      [&](i64 ci) {
-        const Cell& cell = cells[static_cast<size_t>(ci)];
-        // ONE structural pass for the whole candidate pool across the size
-        // axis (run_candidates: union pair table through the process route
-        // memo, shared lane tiles); empty result = skipped (rank-count gate,
-        // passed as a null pool slot).
-        std::vector<const coll::AlgorithmEntry*> algos(cell.names.size(), nullptr);
-        for (size_t k = 0; k < cell.names.size(); ++k) {
-          const auto& entry = coll::find_algorithm(cell.coll, cell.names[k]);
-          if (applicable(entry, cell.nodes)) algos[k] = &entry;
-        }
-        const std::vector<std::vector<RunResult>> evaluated =
-            run_candidates(cell.coll, algos, cell.nodes, cell.sizes);
-        // Answer each query by minimizing over its own candidate list in its
-        // own order -- the exact selection (and tie-breaking) best_of runs.
-        for (size_t v = 0; v < cell.query_indices.size(); ++v) {
-          const size_t s = cell.query_size[v];
-          std::pair<std::string, RunResult> best{"", {}};
-          best.second.seconds = std::numeric_limits<double>::infinity();
-          for (const size_t k : cell.query_candidates[v]) {
-            const auto& r = evaluated[k];
-            if (!r.empty() && r[s].seconds < best.second.seconds)
-              best = {cell.names[k], r[s]};
-          }
-          if (best.first.empty()) throw std::runtime_error("no applicable algorithm");
-          results[cell.query_indices[v]] = std::move(best);
-        }
-      },
-      threads, cancel);
-  return results;
 }
 
 std::vector<std::string> Runner::sota_names(Collective coll) const {

@@ -6,13 +6,11 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "alloc/allocation.hpp"
 #include "coll/registry.hpp"
 #include "fault/fault.hpp"
-#include "harness/cancel.hpp"
 #include "net/profiles.hpp"
 #include "net/route_cache.hpp"
 #include "runtime/exec_plan.hpp"
@@ -22,9 +20,9 @@
 /// Evaluation driver (the stand-in for the paper's PICO framework): runs a
 /// (system, collective, algorithm, nodes, vector size) combination through
 /// the simulator, caching topologies, placements, compiled route tables AND
-/// size-free compiled schedules across the sweep. Each cell is a pure
-/// function of its inputs, so `sweep` fans independent cells out over a
-/// thread pool with deterministic, index-addressed results.
+/// size-free compiled schedules across calls. Each cell is a pure function of
+/// its inputs, so the sweep engine (exp::run) fans independent cells out over
+/// a thread pool with deterministic, index-addressed results.
 ///
 /// The schedule cache is the process-wide sched::process_schedule_cache() by
 /// default: every Runner (one per SystemProfile in the table benches) shares
@@ -60,38 +58,12 @@ struct VerifiedRun {
   u64 digest = 0;
 };
 
-/// One cell of a verified-execution sweep: execute `algorithm` over real
-/// buffers with the given element type and reduce op, verify, and digest.
-struct VerifiedQuery {
-  sched::Collective coll{};
-  std::string algorithm;
-  i64 nodes = 0;
-  i64 size_bytes = 0;
-  runtime::ElemType elem = runtime::ElemType::u32;
-  runtime::ReduceOp op = runtime::ReduceOp::sum;
-};
-
 /// Vector sizes used throughout Sec. 5 (bytes): 32 B ... 512 MiB. The bench
 /// binaries default to a subset for runtime reasons; pass `full` for all.
 [[nodiscard]] std::vector<i64> paper_vector_sizes(bool full);
 
 /// Human-readable size ("32 B", "2 KiB", "512 MiB").
 [[nodiscard]] std::string size_label(i64 bytes);
-
-/// One cell of a best-variant sweep: which family to minimize over for a
-/// (collective, nodes, size) configuration.
-struct SweepQuery {
-  enum class Kind {
-    bine,      ///< best registered Bine variant (honours contiguous_only)
-    binomial,  ///< the paper's binomial-family baseline
-    sota,      ///< best non-Bine algorithm
-  };
-  sched::Collective coll{};
-  i64 nodes = 0;
-  i64 size_bytes = 0;
-  Kind kind = Kind::bine;
-  bool contiguous_only = false;  ///< only meaningful for Kind::bine
-};
 
 class Runner {
  public:
@@ -115,8 +87,8 @@ class Runner {
   [[nodiscard]] i64 effective_ranks(i64 nodes) const;
 
   /// Rank-count admission for one algorithm at `nodes` allocated nodes,
-  /// evaluated against the *effective* communicator size. The gate the
-  /// best-of selectors and sweeps use to skip inapplicable candidates.
+  /// evaluated against the *effective* communicator size. The gate sweeps
+  /// use to skip inapplicable candidates.
   [[nodiscard]] bool applicable(const coll::AlgorithmEntry& algo, i64 nodes) const {
     return !algo.pow2_only || is_pow2(effective_ranks(nodes));
   }
@@ -128,25 +100,9 @@ class Runner {
   [[nodiscard]] std::vector<std::string> degrade_notes() const;
 
   /// Simulate one algorithm; `size_bytes` is the collective's vector size.
-  /// Uses the schedule cache (below) unless disabled.
+  /// A 1x1 run_candidates call.
   [[nodiscard]] RunResult run(sched::Collective coll, const coll::AlgorithmEntry& algo,
                               i64 nodes, i64 size_bytes);
-
-  /// The always-fresh path: generate, lower, simulate -- no schedule cache.
-  /// Retained as the parity oracle; must agree bit-exactly with `run`.
-  [[nodiscard]] RunResult run_uncached(sched::Collective coll,
-                                       const coll::AlgorithmEntry& algo, i64 nodes,
-                                       i64 size_bytes);
-
-  /// Simulate one algorithm across a whole size axis in a single structural
-  /// pass (net::simulate_sizes): results[s] is bit-identical to
-  /// run(coll, algo, nodes, sizes_bytes[s]). Falls back to per-size run()
-  /// when the cell has no usable size-free entry (cache off or demoted) or
-  /// when fault demotion resolves different algorithms at different sizes.
-  [[nodiscard]] std::vector<RunResult> run_sizes(sched::Collective coll,
-                                                 const coll::AlgorithmEntry& algo,
-                                                 i64 nodes,
-                                                 std::span<const i64> sizes_bytes);
 
   /// Simulate a whole candidate pool of one cell across the size axis in ONE
   /// structural pass (net::simulate_candidates through the process-wide
@@ -154,9 +110,12 @@ class Runner {
   /// materialized once and every candidate streams through shared lane
   /// tiles. results[k][s] is bit-identical to
   /// run(coll, *algos[k], nodes, sizes_bytes[s]); algos[k] == nullptr marks
-  /// an inapplicable pool slot and yields an empty results[k]. Candidates
-  /// without a usable size-free entry (cache off, demoted, or size-dependent
-  /// fault demotion) fall back per candidate exactly like run_sizes.
+  /// an inapplicable pool slot and yields an empty results[k]. A candidate
+  /// without a usable size-free entry (cache off, or entry demoted) is
+  /// generated fresh at each size and simulated as a 1x1 pool, which throws
+  /// std::logic_error naming the algorithm when that schedule's bytes do not
+  /// follow from its blocks. A candidate whose fault demotion differs
+  /// between sizes loops run().
   [[nodiscard]] std::vector<std::vector<RunResult>> run_candidates(
       sched::Collective coll, std::span<const coll::AlgorithmEntry* const> algos,
       i64 nodes, std::span<const i64> sizes_bytes);
@@ -184,14 +143,6 @@ class Runner {
                                          runtime::ElemType elem = runtime::ElemType::u32,
                                          runtime::ReduceOp op = runtime::ReduceOp::sum);
 
-  /// Verified execution as a sweep mode: evaluate every query, fanning cells
-  /// out over at most `threads` workers like `sweep`, each cell executed
-  /// with `exec_threads` executor threads. Results are index-addressed and
-  /// byte-identical -- digests included -- for any worker count.
-  [[nodiscard]] std::vector<VerifiedRun> sweep_verified(
-      const std::vector<VerifiedQuery>& queries, i64 threads = 0,
-      i64 exec_threads = 0);
-
   /// Toggle the size-independent schedule cache (default: on, unless the
   /// BINE_SCHED_CACHE environment variable is set to 0). The cached and
   /// uncached paths are bit-exact; the toggle exists for benchmarking and
@@ -213,51 +164,20 @@ class Runner {
   /// out, so workers only compete for cells, never for the build lock.
   void prewarm(i64 nodes) { (void)sized_for(nodes); }
 
-  /// Best (min simulated time) over a set of algorithm names; returns the
-  /// winning name alongside. Skips algorithms that reject the rank count.
-  [[nodiscard]] std::pair<std::string, RunResult> best_of(
-      sched::Collective coll, const std::vector<std::string>& names, i64 nodes,
-      i64 size_bytes);
-
-  /// Best over all registered Bine variants of the collective. When
-  /// `contiguous_only`, restricts to the strategies that send contiguous
-  /// data, matching the fair-comparison setup of Sec. 5.1.1.
-  [[nodiscard]] std::pair<std::string, RunResult> best_bine(sched::Collective coll,
-                                                            i64 nodes, i64 size_bytes,
-                                                            bool contiguous_only);
-
+  /// Algorithm families the sweep engine's best-of series minimize over
+  /// (exp::Series), in selection order. `bine_names` with `contiguous_only`
+  /// keeps only the strategies that send contiguous data, matching the
+  /// fair-comparison setup of Sec. 5.1.1.
+  [[nodiscard]] std::vector<std::string> bine_names(sched::Collective coll,
+                                                    bool contiguous_only) const;
   /// The binomial-family baseline for a collective, as the paper frames it
   /// ("Comparison with Binomial Trees"): trees for rooted collectives,
   /// recursive doubling/halving butterflies for the rootless ones, Bruck for
   /// alltoall.
-  [[nodiscard]] std::pair<std::string, RunResult> best_binomial(sched::Collective coll,
-                                                                i64 nodes, i64 size_bytes);
-
-  /// Algorithm name lists behind the best_* selectors, exposed so the
-  /// batched sweep evaluates exactly the same candidates in the same order.
-  [[nodiscard]] std::vector<std::string> bine_names(sched::Collective coll,
-                                                    bool contiguous_only) const;
   [[nodiscard]] std::vector<std::string> binomial_names(sched::Collective coll) const;
   /// All non-Bine algorithms registered for the collective.
   [[nodiscard]] std::vector<std::string> sota_names(sched::Collective coll) const;
 
-  /// Evaluate every query, fanning independent *cells* out over at most
-  /// `threads` workers (<= 0 = harness::default_thread_count()). All queries
-  /// sharing one (collective, nodes, size) cell -- e.g. the bine / binomial /
-  /// sota rows of one table column -- are batched into a single work item
-  /// that evaluates each candidate algorithm exactly once, instead of once
-  /// per query kind. Results are index-addressed (results[i] answers
-  /// queries[i]) and every cell is a pure function of its query, so the
-  /// returned vector -- and anything printed from it in order -- is
-  /// byte-identical for any thread count, with or without the schedule
-  /// cache.
-  ///
-  /// `cancel`, when given, stops new cells from starting once fired
-  /// (parallel_for's drain semantics); queries whose cell never ran come
-  /// back default-constructed -- an empty algorithm name marks them.
-  [[nodiscard]] std::vector<std::pair<std::string, RunResult>> sweep(
-      const std::vector<SweepQuery>& queries, i64 threads = 0,
-      const CancelToken* cancel = nullptr);
 
  private:
   struct Sized {
@@ -269,7 +189,7 @@ class Runner {
   /// returned reference is stable (map nodes never move).
   Sized& sized_for(i64 nodes);
 
-  /// Simulation config for one cell (shared by cached and uncached paths).
+  /// Simulation config for one cell (shared by cached and fresh paths).
   /// `elem_size` defaults to the paper's 32-bit integers; the typed verified
   /// path passes the element type's width instead.
   [[nodiscard]] coll::Config cell_config(i64 nodes, i64 size_bytes,
@@ -279,8 +199,6 @@ class Runner {
                                               const coll::AlgorithmEntry& algo,
                                               i64 nodes, i64 size_bytes, i64 threads,
                                               runtime::ReduceOp op);
-  [[nodiscard]] RunResult simulate_lowered(const sched::CompiledSchedule& lowered,
-                                           Sized& sized) const;
 
   /// Size-free entry for one cell, or nullptr when the cache is off or the
   /// entry was demoted (callers fall back to fresh generation).

@@ -12,13 +12,12 @@
 #include "net/route_cache.hpp"
 
 /// Profile-scoped memoization of compiled per-(rank, peer) route rows: the
-/// candidate-batched simulator's cross-cell structure cache.
+/// simulator's cross-cell structure cache.
 ///
-/// `net::simulate_sizes` already memoizes routes per ordered pair *within*
-/// one call, but every candidate of a cell -- and every cell of a sweep --
-/// rebuilds that table from scratch, walking `RouteCache::path` and
-/// reassigning compact link slots per candidate. The candidates of one
-/// collective overwhelmingly reuse the same pairs (every butterfly shares
+/// `net::simulate_candidates` walks each ordered pair of a cell's pool once
+/// per call, but without a memo every cell of a sweep rebuilds that table
+/// from scratch, walking `RouteCache::path` and reassigning compact link
+/// slots. Cells overwhelmingly reuse the same pairs (every butterfly shares
 /// the ring's neighbor pairs and the trees' ancestor pairs), so the memo
 /// lifts the pair walk to process scope the way
 /// `sched::process_schedule_cache()` lifts schedule generation.
@@ -37,7 +36,7 @@
 /// first-touch order, append-only) and per-pair rows: the pair's path as
 /// scope-slot ids (CSR), its per-class hop counts, and whether it crosses a
 /// global link. Callers copy rows out under a shared lock into call-local
-/// scratch (`Rows`) and remap scope slots to their own sorted compact table;
+/// scratch (`Rows`) and remap scope slots to their own dense compact table;
 /// nothing retains pointers into the scope, so scopes never dangle and rows
 /// survive the RouteCache that seeded them. Slot *numbering* depends on
 /// insertion order and is therefore thread-schedule-dependent -- harmless,
@@ -51,7 +50,7 @@ class PairRouteMemo {
   /// Call-local copy of the resolved rows for one pair list, in list order.
   /// Slot ids are *scope* slots: dense in [0, num_scope_slots) but sparse for
   /// any one call (other cells' pairs own the gaps); `slot_link` maps them
-  /// back to link ids for bandwidth/class lookups.
+  /// back to link ids for bandwidth lookups.
   struct Rows {
     std::vector<std::uint32_t> route_off, route_len;  ///< per pair, CSR
     std::vector<std::uint32_t> route_slots;           ///< scope-slot ids

@@ -6,7 +6,6 @@
 #include "net/pair_route_memo.hpp"
 #include "net/route_cache.hpp"
 #include "net/topology.hpp"
-#include "sched/compiled.hpp"
 #include "sched/schedule.hpp"
 #include "sched/schedule_cache.hpp"
 
@@ -17,27 +16,24 @@
 /// Traffic is exact; time is modeled -- see DESIGN.md's substitutions table
 /// for why this preserves the paper's qualitative results.
 ///
-/// Two engines implement the model:
+/// One engine implements the model, with one oracle beside it:
 ///
-///   * The *compiled* engine -- the default and the one the evaluation
-///     harness uses -- consumes a `sched::CompiledSchedule` (flat SoA op
-///     stream, sched/compiled.hpp) plus a `RouteCache` (CSR link paths per
-///     rank pair, net/route_cache.hpp). It computes traffic and time in a
-///     single pass with dense per-link byte accumulators and a touched-link
-///     list, never calling the virtual `Topology::route()`.
+///   * `simulate_candidates` -- the production engine. It consumes cached
+///     size-free schedules (sched::SizeFreeSchedule) plus a `RouteCache`
+///     (CSR link paths per rank pair, net/route_cache.hpp) and evaluates a
+///     whole candidate pool across a whole size axis in one structural pass,
+///     never calling the virtual `Topology::route()`. Every sweep, tuner
+///     build and `harness::Runner::run` goes through it.
 ///   * The *reference* engine (`*_reference`) is the retained naive
-///     implementation: per-op virtual routing and a per-step hash map. It is
-///     the oracle the parity tests and `bench_sim_engine` compare against;
-///     don't use it in sweeps.
+///     implementation: per-op virtual routing and a per-step hash map over a
+///     freshly generated `Schedule`. It is the oracle the parity tests and
+///     `bench_sim_engine` compare against; don't use it in sweeps.
 ///
-/// The `Schedule`-taking overloads lower + build a cache per call, which is
-/// convenient for one-off measurements; sweeps should build the
-/// `RouteCache` once per (Topology, Placement) and lower each schedule once
-/// (see harness::Runner). `CompiledSchedule`'s columns are spans that may
-/// alias a shared ScheduleCache entry (only the bytes column is
-/// materialized per size) -- the engines below are agnostic to which
-/// backing they read. DESIGN.md describes the full three-layer pipeline,
-/// including the runtime executor's sibling IR (runtime::ExecPlan).
+/// The `Schedule`-taking `simulate`/`measure_traffic` overloads run one
+/// freshly generated schedule through the production engine as a 1x1 pool
+/// at the schedule's own size. DESIGN.md describes the pipeline (nested
+/// Schedule -> size-free IR -> engine), including the runtime executor's
+/// sibling IR (runtime::ExecPlan).
 namespace bine::net {
 
 struct TrafficStats {
@@ -51,10 +47,6 @@ struct TrafficStats {
 /// Exact per-class byte counts of `sch` routed over `topo` under `pl`.
 [[nodiscard]] TrafficStats measure_traffic(const sched::Schedule& sch, const Topology& topo,
                                            const Placement& pl);
-
-/// Compiled fast path: O(1) per message via the cache's per-pair hop counts.
-[[nodiscard]] TrafficStats measure_traffic(const sched::CompiledSchedule& cs,
-                                           const RouteCache& rc);
 
 /// Bytes crossing group boundaries (no routing needed): the metric of Fig. 5
 /// and of the "Traffic Red." columns when groups have single logical pipes.
@@ -81,58 +73,41 @@ struct SimResult {
 /// + max over ranks  (sum of message alphas + segment overheads
 ///                    + reduce bytes / reduce bw + permute bytes / mem bw).
 /// Total time is the sum over steps. Traffic stats fall out of the same pass.
+/// Routes only the pairs `sch` sends on (a scoped RouteCache). Throws
+/// std::logic_error naming the algorithm when `sch`'s bytes do not follow
+/// from its blocks (SizeFreeSchedule::from marks it not size_independent).
 [[nodiscard]] SimResult simulate(const sched::Schedule& sch, const Topology& topo,
                                  const Placement& pl, const CostParams& cp);
 
-/// Compiled fast path over pre-lowered IR and pre-built routes.
-[[nodiscard]] SimResult simulate(const sched::CompiledSchedule& cs, const RouteCache& rc,
-                                 const CostParams& cp);
+/// The same over a prebuilt RouteCache, optionally through a route memo:
+/// the path harness::Runner takes for a candidate without a cached entry.
+[[nodiscard]] SimResult simulate(const sched::Schedule& sch, const RouteCache& rc,
+                                 const CostParams& cp, PairRouteMemo* memo = nullptr);
 
-/// Size-batched compiled engine: one structural pass per cell across the
-/// whole size axis. Walks the cached size-free op stream ONCE, materializing
-/// per-op wire-byte *coefficients* (the closed form of `ranges_elem_count`:
-/// bytes_i(n) = C_i * (n / nblocks) + R_i(n % nblocks), all-i64) and a
-/// flattened per-send route CSR over a compact link table (unique touched
-/// links, gathered inverse bandwidths, partitioned by LinkClass), then
-/// streams every element count through size-major accumulator tiles -- the
-/// per-link scan and max-reduce amortize across the axis and vectorize.
+/// The production engine: one structural pass per *cell* across a whole
+/// candidate pool AND the size axis. The union of every candidate's send
+/// pairs is materialized once (through `memo` when given: pair walks then
+/// amortize across cells, Runners, and tuner rounds; self-contained when
+/// null), one compact link table serves all candidates, and each candidate
+/// then streams through fixed-width lane tiles, one lane per size.
 ///
-/// Result [s] is bit-identical to
-///   simulate(resolve(sf, elem_counts[s], elem_size), rc, cp)
-/// -- the per-size oracle the parity suite loops: byte resolution runs the
-/// same integer arithmetic, per-rank overheads accumulate in the same FP
-/// order (ops outer, sizes inner, flushed at rank boundaries), and per-step
-/// maxima reduce over non-negative finite terms, where max is
-/// order-independent bitwise. `sf` must be size_independent.
-[[nodiscard]] std::vector<SimResult> simulate_sizes(const sched::SizeFreeSchedule& sf,
-                                                    std::span<const i64> elem_counts,
-                                                    i64 elem_size, const RouteCache& rc,
-                                                    const CostParams& cp);
-
-/// Candidate-batched compiled engine: one structural pass per *cell* across
-/// a whole candidate pool AND the size axis -- the (cell x candidates x
-/// sizes) lift of simulate_sizes' (schedule x sizes) design. The union of
-/// every candidate's send pairs is materialized once (through `memo` when
-/// given: pair walks then amortize across cells, Runners, and tuner rounds;
-/// self-contained when null), one compact link table sorted by LinkClass
-/// serves all candidates, and the per-step accumulator tiles are zeroed once
-/// per cell -- a running touch epoch replaces the per-candidate reset. Each
-/// candidate then streams through the same lane-tile inner loops as
-/// simulate_sizes.
-///
-/// result[c][s] is bit-identical to simulate_sizes(*candidates[c], ...)[s]
-/// (the parity suite loops exactly that): per-candidate byte resolution and
-/// FP accumulation order are untouched, and the shared slot table only
-/// renumbers accumulator indices -- the per-step link reduction is a max
-/// over non-negative finite terms, order-independent bitwise. Null entries
-/// in `candidates` (inapplicable pool slots) yield empty result vectors.
-/// Every non-null candidate must be size_independent with p matching `rc`.
+/// Byte resolution is the exact all-i64 arithmetic fresh generation runs
+/// (bytes_i(n) = C_i * (n / nblocks) + R_i(n % nblocks)), so traffic,
+/// messages and steps equal the reference engine's on the schedule
+/// generated at that size; seconds agree to within 1e-12 relative (the
+/// reference divides by bandwidths where this engine multiplies by their
+/// inverses). result[c][s] is a pure function of (candidates[c], s): the
+/// per-step link reduction is a max over non-negative finite terms, so
+/// neither pool composition, slot numbering nor memo state is observable.
+/// Null entries in `candidates` (inapplicable pool slots) yield empty
+/// result vectors. Every non-null candidate must be size_independent with p
+/// matching `rc`.
 [[nodiscard]] std::vector<std::vector<SimResult>> simulate_candidates(
     std::span<const sched::SizeFreeSchedule* const> candidates,
     std::span<const i64> elem_counts, i64 elem_size, const RouteCache& rc,
     const CostParams& cp, PairRouteMemo* memo = nullptr);
 
-/// Resident capacity (bytes) of the calling thread's candidate-batched
+/// Resident capacity (bytes) of the calling thread's simulate_candidates
 /// scratch arena. Testing hook for the capacity-cap trim: a huge cell
 /// followed by small cells must release the spike.
 [[nodiscard]] size_t candidate_scratch_resident_bytes();

@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "sched/compiled.hpp"
 
 namespace bine::runtime {
 

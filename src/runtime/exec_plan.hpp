@@ -8,7 +8,7 @@
 #include "sched/schedule.hpp"
 #include "sched/schedule_cache.hpp"
 
-/// Flat execution IR: the runtime analogue of sched::CompiledSchedule.
+/// Flat execution IR: the runtime sibling of the simulator's size-free IR.
 ///
 /// The executor's work is entirely delivery-driven: within a synchronized
 /// step every send reads the sender's *pre-step* state, so a message's
@@ -28,9 +28,9 @@
 ///     (`elem_prefix`) sized once at lowering time, so execution performs no
 ///     per-step allocation at all.
 ///
-/// Columns split along the size axis exactly like CompiledSchedule's:
-/// everything except byte/element arithmetic is a pure function of schedule
-/// *structure*, so those columns are exposed as read-only spans. On the
+/// Columns split along the size axis: everything except byte/element
+/// arithmetic is a pure function of schedule *structure*, so those columns
+/// are exposed as read-only spans. On the
 /// `lower` path they point at the plan's own storage; on the
 /// `from_size_free` path the delivery stream aliases the cache entry's
 /// execution overlay directly and the derived structural columns alias an
@@ -54,8 +54,7 @@ namespace bine::runtime {
 /// block ids plus every output of the per-step dataflow analysis that does
 /// not touch element counts. Cached on the schedule-cache entry
 /// (SizeFreeSchedule::derived) so `from_size_free` re-runs none of it on a
-/// hit -- the execution analogue of resolve_into sharing the size-invariant
-/// simulation columns.
+/// hit.
 struct ExecSkeleton {
   // Expanded delivery payloads (CSR into `ids`), from the entry's ranges.
   std::vector<std::uint32_t> block_begin;

@@ -29,9 +29,8 @@
 ///   * the *compiled* engine (runtime/compiled_executor.hpp) streams the flat
 ///     runtime::ExecPlan IR over dense per-rank buffers and flat contributor
 ///     bitset words -- the default, and the one harness::Runner drives;
-///   * the nested-walking implementations in this header and
-///     threaded_executor.hpp are retained as `*_reference` oracles the parity
-///     suite compares against.
+///   * the nested-walking implementation in this header is retained as the
+///     `execute_reference` oracle the parity suite compares against.
 namespace bine::runtime {
 
 /// Dynamic bitset over ranks, used for contributor tracking.

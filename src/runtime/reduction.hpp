@@ -14,7 +14,7 @@ namespace bine::runtime {
 enum class ReduceOp { sum, prod, min, max, band, bor, bxor };
 
 /// Element types the verified execution paths are parameterized over
-/// (harness::Runner::run_verified / sweep_verified). The cross product with
+/// (harness::Runner::run_verified, exp::Backend::execute_verified). The cross product with
 /// ReduceOp makes verified execution a first-class sweep mode instead of a
 /// u32/sum special case.
 enum class ElemType { u32, u64, f32, f64 };

@@ -40,8 +40,9 @@ BlockSet blockset_from_ids(std::vector<i64> ids, i64 B, ScheduleArena& arena) {
 void Schedule::add_exchange(size_t step, Rank from, Rank to, BlockSet blocks, bool reduce,
                             i64 segments) {
   assert(from != to && from >= 0 && from < p && to >= 0 && to < p);
-  for (auto& rank_steps : steps)
-    if (rank_steps.size() <= step) rank_steps.resize(step + 1);
+  for (const Rank r : {from, to})
+    if (steps[static_cast<size_t>(r)].size() <= step)
+      steps[static_cast<size_t>(r)].resize(step + 1);
   const i64 nbytes = bytes_of(blocks);
   const i64 segs =
       segments > 0 ? segments : std::max<i64>(1, blocks.memory_segments(nblocks));
@@ -53,8 +54,8 @@ void Schedule::add_exchange(size_t step, Rank from, Rank to, BlockSet blocks, bo
 
 void Schedule::add_local(size_t step, Rank r, i64 bytes_moved, i64 segs) {
   assert(r >= 0 && r < p);
-  for (auto& rank_steps : steps)
-    if (rank_steps.size() <= step) rank_steps.resize(step + 1);
+  if (steps[static_cast<size_t>(r)].size() <= step)
+    steps[static_cast<size_t>(r)].resize(step + 1);
   steps[static_cast<size_t>(r)][step].ops.push_back(
       Op{OpKind::local_perm, -1, {}, bytes_moved, segs});
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,10 +18,10 @@
 /// One schedule serves two consumers:
 ///   * runtime::Executor runs it over real buffers and verifies semantics;
 ///   * net::simulate lays it onto a topology model for traffic/time -- via
-///     sched::CompiledSchedule (compiled.hpp), which lowers the nested
-///     representation below into flat structure-of-arrays form once per
-///     simulation. This type stays optimized for *generation* (per-rank
-///     append, BlockSet bookkeeping); the IR is what the hot loop consumes.
+///     sched::SizeFreeSchedule (schedule_cache.hpp), which flattens the
+///     nested representation below into size-free structure-of-arrays form.
+///     This type stays optimized for *generation* (per-rank append, BlockSet
+///     bookkeeping); the flat IR is what the hot loops consume.
 ///
 /// Size independence: the *structure* of every schedule -- steps, peers,
 /// block sets, segment counts -- is a pure function of (algorithm, p, root,
@@ -129,14 +130,15 @@ struct Schedule {
     return space == BlockSpace::pairwise ? elem_count * p : elem_count;
   }
 
-  /// Append a matched send/recv pair at `step` (growing step vectors as
-  /// needed). `segments` overrides the memory-contiguity estimate derived
+  /// Append a matched send/recv pair at `step`, growing only the two
+  /// involved ranks' step vectors (generators finish with normalize_steps()).
+  /// `segments` overrides the memory-contiguity estimate derived
   /// from the block set (-1 = derive): strategies that pack (Permute/Send)
   /// force 1, strategies that issue per-block sends force the block count.
   void add_exchange(size_t step, Rank from, Rank to, BlockSet blocks, bool reduce,
                     i64 segments = -1);
 
-  /// Append a one-sided op (local_perm).
+  /// Append a one-sided op (local_perm), growing only `r`'s step vector.
   void add_local(size_t step, Rank r, i64 bytes_moved, i64 segs);
 
   /// Ensure all ranks have the same number of steps (pad with empty).
@@ -175,5 +177,28 @@ struct Schedule {
  private:
   std::shared_ptr<ScheduleArena> arena_;
 };
+
+/// Visit every op of `s` in the canonical flat order: step-major, ranks
+/// increasing within a step, original per-rank op order, ragged ranks
+/// contributing nothing past their last step. Calls `op(rank, o)` per op and
+/// `step_end(t)` after each step. This is the one definition of IR order,
+/// shared by SizeFreeSchedule::from and runtime::ExecPlan::lower.
+template <class OpFn, class StepEndFn>
+void for_each_op_step_major(const Schedule& s, size_t steps, OpFn&& op,
+                            StepEndFn&& step_end) {
+  for (size_t t = 0; t < steps; ++t) {
+    for (Rank r = 0; r < s.p; ++r) {
+      const auto& rank_steps = s.steps[static_cast<size_t>(r)];
+      if (t >= rank_steps.size()) continue;
+      for (const Op& o : rank_steps[t].ops) op(r, o);
+    }
+    step_end(t);
+  }
+}
+
+/// Memory segments beyond the first, the only form the cost model uses.
+[[nodiscard]] inline std::int32_t lowered_extra_segments(const Op& op) noexcept {
+  return static_cast<std::int32_t>(std::max<i64>(0, op.segments - 1));
+}
 
 }  // namespace bine::sched

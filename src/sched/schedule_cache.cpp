@@ -1,7 +1,6 @@
 #include "sched/schedule_cache.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <mutex>
 
 namespace bine::sched {
@@ -46,9 +45,9 @@ SizeFreeSchedule SizeFreeSchedule::from(const Schedule& s) {
     return from_blocks == op.bytes;
   };
 
-  // Shared canonical-order visitor (compiled.hpp): the resolved IR must be
-  // indistinguishable from a fresh lower(), and the execution overlay must
-  // replay the reference executor's delivery order.
+  // Shared canonical-order visitor (schedule.hpp): the simulation stream
+  // follows the reference engine's (step, rank, op) order, and the execution
+  // overlay replays the reference executor's delivery order.
   for_each_op_step_major(
       s, out.steps,
       [&](Rank r, const Op& op) {
@@ -83,40 +82,6 @@ SizeFreeSchedule SizeFreeSchedule::from(const Schedule& s) {
         out.recv_step_begin.push_back(static_cast<std::uint32_t>(out.recv_rank.size()));
       });
   return out;
-}
-
-void SizeFreeSchedule::resolve_into(std::shared_ptr<const SizeFreeSchedule> self,
-                                    i64 elem_count, i64 elem_size,
-                                    CompiledSchedule& out) {
-  assert(self);
-  assert(self->size_independent && "entry failed verification; use fresh generation");
-  out.p = self->p;
-  out.steps = self->steps;
-
-  // Size-invariant columns are shared straight from the entry: a resolve
-  // touches only the bytes column.
-  out.step_begin = self->step_begin;
-  out.kind = self->kind;
-  out.rank = self->rank;
-  out.peer = self->peer;
-  out.extra_segments = self->extra_segments;
-
-  const i64 n = self->space == BlockSpace::pairwise ? elem_count * self->p : elem_count;
-  const i64 full_bytes = n * elem_size;
-  const size_t ops = self->num_ops();
-  out.own.bytes.resize(ops);
-  for (size_t i = 0; i < ops; ++i) {
-    if (self->full_vector[i]) {
-      out.own.bytes[i] = full_bytes;
-    } else {
-      const std::span<const BlockRange> rs{
-          self->ranges.data() + self->block_begin[i],
-          self->ranges.data() + self->block_begin[i + 1]};
-      out.own.bytes[i] = ranges_elem_count(rs, n, self->nblocks) * elem_size;
-    }
-  }
-  out.bytes = out.own.bytes;
-  out.keepalive = std::move(self);
 }
 
 bool SizeFreeSchedule::same_structure(const SizeFreeSchedule& a,

@@ -12,7 +12,6 @@
 #include <string_view>
 #include <vector>
 
-#include "sched/compiled.hpp"
 #include "sched/schedule.hpp"
 
 /// Size-independent schedule memoization: the generation fast path.
@@ -22,17 +21,15 @@
 /// size only scales per-op byte counts through `Schedule::bytes_of`'s block
 /// arithmetic (see the invariant note in schedule.hpp). The evaluation grids
 /// exploit none of that when every (collective, algorithm, nodes, size) cell
-/// regenerates its BlockSet-heavy schedule from scratch, and with the
-/// simulator compiled (PR 1) generation dominates sweep wall time.
+/// regenerates its BlockSet-heavy schedule from scratch, and generation
+/// dominates sweep wall time.
 ///
-/// `SizeFreeSchedule` is the memoized artifact: CompiledSchedule's flat SoA
-/// op stream with the byte column *abstracted* -- each op instead carries its
-/// block ranges (CSR into one owned array) or a full-vector marker, so
-/// `resolve_into` can materialize the concrete CompiledSchedule for any
-/// (elem_count, elem_size) by computing the bytes column alone (every
-/// size-invariant column is shared by span with the resolved schedule; see
-/// compiled.hpp). One cached entry therefore serves an entire message-size
-/// sweep.
+/// `SizeFreeSchedule` is the memoized artifact and the simulator's IR: a flat
+/// SoA op stream (step-major, ranks increasing, plain recvs dropped) whose
+/// byte column is *abstracted* -- each op carries its block ranges (CSR into
+/// one owned array) or a full-vector marker, and net::simulate_candidates
+/// resolves wire bytes for any (elem_count, elem_size) from them. One cached
+/// entry therefore serves an entire message-size sweep.
 ///
 /// Beyond the simulation columns, the entry carries an *execution overlay*:
 /// every receive-type op (plain recvs included -- the simulation stream drops
@@ -57,9 +54,10 @@
 ///     beyond the large probe.
 ///
 /// Demoted entries make callers (harness::Runner) fall back to fresh
-/// generation for that algorithm. For entries that pass, resolution at any
-/// size runs the *same* integer arithmetic `add_exchange` would, so cached
-/// and uncached paths are bit-exact -- which the parity tests assert.
+/// generation for that algorithm, one size at a time. For entries that
+/// pass, resolution at any size runs the *same* integer arithmetic
+/// `add_exchange` would, so cached and uncached paths are bit-exact -- which
+/// the parity tests assert.
 namespace bine::sched {
 
 /// Size-independent compiled form of one schedule (see file comment).
@@ -68,14 +66,14 @@ struct SizeFreeSchedule {
   i64 nblocks = 0;
   BlockSpace space = BlockSpace::per_vector;
   size_t steps = 0;
-  /// False when build-time verification failed; resolve_into must not be
-  /// used (callers fall back to fresh generation).
+  /// False when build-time verification failed; the entry must not be
+  /// simulated or executed (callers fall back to fresh generation).
   bool size_independent = true;
 
   /// CSR over the op arrays: ops of step t are [step_begin[t], step_begin[t+1]).
   std::vector<std::uint32_t> step_begin;
 
-  // One entry per op, in CompiledSchedule order (plain recvs dropped).
+  // One entry per op, in simulation order (plain recvs dropped).
   std::vector<OpKind> kind;
   std::vector<std::int32_t> rank;
   std::vector<std::int32_t> peer;
@@ -103,8 +101,7 @@ struct SizeFreeSchedule {
   std::vector<BlockRange> recv_ranges;
 
   /// Type-erased slot for derived artifacts a higher layer caches on the
-  /// entry (runtime::ExecPlan's finalized skeleton -- the execution analogue
-  /// of resolve_into's span sharing). Built once under the slot mutex on
+  /// entry (runtime::ExecPlan's finalized skeleton). Built once under the slot mutex on
   /// first use, then shared by every later hit; the sched layer stays
   /// runtime-agnostic. Held by unique_ptr so the entry remains movable;
   /// mutable because entries are only ever reached as shared_ptr<const>.
@@ -113,8 +110,8 @@ struct SizeFreeSchedule {
     std::shared_ptr<const void> value;
   };
   mutable std::unique_ptr<DerivedSlot> derived = std::make_unique<DerivedSlot>();
-  /// Second derived slot, used by the simulator's candidate-batched engine
-  /// for its compiled op/byte-row form (net::simulate_candidates). Separate
+  /// Second derived slot, used by the simulator for its compiled
+  /// op/byte-row form (net::simulate_candidates). Separate
   /// from `derived` so the runtime skeleton and the simulation compile can
   /// both live on one entry without evicting each other.
   mutable std::unique_ptr<DerivedSlot> sim_derived = std::make_unique<DerivedSlot>();
@@ -130,14 +127,6 @@ struct SizeFreeSchedule {
   /// the sizes they were built at).
   [[nodiscard]] static bool same_structure(const SizeFreeSchedule& a,
                                            const SizeFreeSchedule& b);
-
-  /// Materialize the CompiledSchedule for a concrete vector config, reusing
-  /// `out`'s byte-column capacity. Only the bytes column is computed; every
-  /// size-invariant column is shared by span with `self`, which `out` keeps
-  /// alive (hence the shared handle rather than a plain `this` call).
-  /// Requires size_independent.
-  static void resolve_into(std::shared_ptr<const SizeFreeSchedule> self,
-                           i64 elem_count, i64 elem_size, CompiledSchedule& out);
 };
 
 /// Key of one memoized schedule: the registry algorithm name plus every

@@ -62,8 +62,8 @@ const coll::AlgorithmEntry* Tuner::pick_winner(
   // sharding cannot reorder anything observable.
   std::vector<std::pair<double, size_t>> ranked(cands.size());
   for (size_t k = 0; k < cands.size(); ++k) ranked[k] = {seconds[k], k};
-  // stable_sort keeps registry order on ties -- the same tie-break
-  // best_of's strict < performs.
+  // stable_sort keeps registry order on ties -- the same tie-break the
+  // sweep engine's best-of series (strict <) performs.
   std::stable_sort(ranked.begin(), ranked.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
 

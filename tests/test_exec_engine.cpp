@@ -18,7 +18,6 @@
 #include "runtime/compiled_executor.hpp"
 #include "runtime/exec_plan.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/threaded_executor.hpp"
 #include "runtime/verify.hpp"
 #include "sched/schedule_cache.hpp"
 
@@ -166,7 +165,7 @@ TEST(ExecEngine, PlanFromSizeFreeMatchesDirectLowering) {
 
 // The data-dependent correctness hazard (Appendix C): a schedule that folds
 // the same contributor twice must throw in the compiled engine exactly as it
-// does in both nested references -- sequentially and threaded.
+// does in the nested reference, sequential and threaded.
 TEST(ExecEngine, DuplicateContributionDetectionParity) {
   coll::Config cfg;
   cfg.p = 4;
@@ -179,8 +178,6 @@ TEST(ExecEngine, DuplicateContributionDetectionParity) {
   sch.normalize_steps();
   const auto in = make_inputs(4, 8);
   EXPECT_THROW(runtime::execute_reference<u64>(sch, runtime::ReduceOp::sum, in),
-               std::runtime_error);
-  EXPECT_THROW(runtime::execute_threaded_reference<u64>(sch, runtime::ReduceOp::sum, in),
                std::runtime_error);
   const runtime::ExecPlan plan = runtime::ExecPlan::lower(sch);
   EXPECT_THROW((void)runtime::execute<u64>(plan, runtime::ReduceOp::sum, in),

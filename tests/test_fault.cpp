@@ -246,22 +246,20 @@ TEST(FaultParity, ZeroFaultSpecIsBitIdenticalAcrossRegistry) {
     ASSERT_FALSE(names.empty());
 
     // Threaded sweep over the same cells: byte-identical too.
-    std::vector<harness::SweepQuery> qs;
-    for (const Collective coll : {Collective::allreduce, Collective::bcast}) {
-      harness::SweepQuery q;
-      q.coll = coll;
-      q.nodes = 16;
-      q.size_bytes = 65536;
-      qs.push_back(q);
-    }
     for (const i64 threads : {1LL, 4LL}) {
-      const auto ra = healthy.sweep(qs, threads);
-      const auto rb = zero.sweep(qs, threads);
-      ASSERT_EQ(ra.size(), rb.size());
-      for (size_t i = 0; i < ra.size(); ++i) {
-        EXPECT_EQ(ra[i].first, rb[i].first);
-        EXPECT_EQ(ra[i].second.seconds, rb[i].second.seconds);
-      }
+      exp::SweepPlan plan;
+      plan.name = "zero_fault";
+      plan.colls = {Collective::allreduce, Collective::bcast};
+      plan.series = {exp::Series::best_bine(false)};
+      plan.nodes.counts = {16};
+      plan.sizes = {65536};
+      plan.threads = threads;
+      plan.systems = {exp::SystemSpec{net::lumi_profile()}};
+      plan.systems[0].schedule_cache = cache;
+      const std::string healthy_json = exp::run(plan).to_json();
+      plan.systems = {exp::SystemSpec{profile_with(make_spec())}};
+      plan.systems[0].schedule_cache = cache;
+      EXPECT_EQ(exp::run(plan).to_json(), healthy_json) << "threads=" << threads;
     }
     EXPECT_TRUE(healthy.degrade_notes().empty());
     EXPECT_TRUE(zero.degrade_notes().empty());

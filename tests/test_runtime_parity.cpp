@@ -1,85 +1,9 @@
-// Threaded-vs-sequential reference-executor equivalence (the nested oracles
-// the compiled engine is checked against; see test_exec_engine.cpp), and the
-// closed-form gather buffer ranges of paper Sec. 4.1/4.2.
+// The closed-form gather buffer ranges of paper Sec. 4.1/4.2.
 #include <gtest/gtest.h>
 
-#include "coll/registry.hpp"
 #include "core/tree.hpp"
-#include "runtime/threaded_executor.hpp"
-#include "runtime/verify.hpp"
 
 using namespace bine;
-
-namespace {
-
-std::vector<std::vector<u64>> make_inputs(i64 p, i64 elems) {
-  std::vector<std::vector<u64>> in(static_cast<size_t>(p));
-  for (i64 r = 0; r < p; ++r) {
-    in[static_cast<size_t>(r)].resize(static_cast<size_t>(elems));
-    for (i64 e = 0; e < elems; ++e)
-      in[static_cast<size_t>(r)][static_cast<size_t>(e)] =
-          static_cast<u64>(r) * 7919u + static_cast<u64>(e);
-  }
-  return in;
-}
-
-}  // namespace
-
-TEST(ThreadedExecutor, MatchesSequentialAcrossAlgorithms) {
-  // A representative algorithm per collective, run both ways; the resulting
-  // buffers (and contributor sets) must be identical.
-  const std::vector<std::pair<sched::Collective, const char*>> cases = {
-      {sched::Collective::bcast, "bine"},
-      {sched::Collective::reduce, "bine_rs_gather"},
-      {sched::Collective::gather, "bine"},
-      {sched::Collective::scatter, "bine"},
-      {sched::Collective::allgather, "bine_send"},
-      {sched::Collective::reduce_scatter, "bine_permute"},
-      {sched::Collective::allreduce, "bine_two_trans"},
-      {sched::Collective::alltoall, "bine"},
-  };
-  for (const auto& [coll, algo] : cases) {
-    coll::Config cfg;
-    cfg.p = 16;
-    cfg.elem_count = 53;
-    cfg.elem_size = 8;
-    const sched::Schedule sch = coll::find_algorithm(coll, algo).make(cfg);
-    const auto inputs = make_inputs(cfg.p, cfg.elem_count);
-    const auto seq = runtime::execute_reference<u64>(sch, runtime::ReduceOp::sum, inputs);
-    const auto thr = runtime::execute_threaded_reference<u64>(sch, runtime::ReduceOp::sum, inputs);
-    ASSERT_EQ(seq.ranks.size(), thr.ranks.size()) << algo;
-    EXPECT_EQ(seq.messages, thr.messages);
-    EXPECT_EQ(seq.wire_bytes, thr.wire_bytes);
-    for (size_t r = 0; r < seq.ranks.size(); ++r)
-      for (size_t b = 0; b < seq.ranks[r].slots.size(); ++b) {
-        const auto& a = seq.ranks[r].slots[b];
-        const auto& c = thr.ranks[r].slots[b];
-        ASSERT_EQ(a.valid, c.valid) << algo << " rank " << r << " block " << b;
-        if (a.valid) {
-          EXPECT_EQ(a.data, c.data) << algo << " rank " << r << " block " << b;
-          EXPECT_TRUE(a.contributors == c.contributors);
-        }
-      }
-    EXPECT_EQ(runtime::verify<u64>(sch, runtime::ReduceOp::sum, inputs, thr), "") << algo;
-  }
-}
-
-TEST(ThreadedExecutor, DetectsDuplicateContribution) {
-  coll::Config cfg;
-  cfg.p = 4;
-  cfg.elem_count = 8;
-  sched::Schedule sch = coll::make_base(sched::Collective::reduce, cfg, "broken",
-                                        sched::BlockSpace::per_vector);
-  sch.add_exchange(0, 1, 0, sched::BlockSet::all(4), true);
-  sch.add_exchange(1, 1, 0, sched::BlockSet::all(4), true);
-  sch.add_exchange(0, 3, 2, sched::BlockSet::all(4), true);
-  sch.normalize_steps();
-  const auto in = make_inputs(4, 8);
-  EXPECT_THROW(runtime::execute_threaded_reference<u64>(sch, runtime::ReduceOp::sum, in),
-               std::runtime_error);
-}
-
-// --- Sec. 4.1/4.2 closed-form gather ranges -----------------------------------
 
 TEST(GatherRanges, ClosedFormMatchesSubtreeIntervals) {
   // Sec. 4.2: even ranks end the gather having added 2^0+2^2+... to b and

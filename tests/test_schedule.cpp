@@ -198,3 +198,23 @@ TEST(Schedule, TotalWireBytes) {
   s.normalize_steps();
   EXPECT_EQ(s.total_wire_bytes(), 64 + 16);
 }
+
+// Appending an op grows only the involved ranks' step vectors: generation is
+// O(1) per exchange instead of O(p). normalize_steps() evens the ranks out.
+TEST(Schedule, AddExchangeGrowsOnlyInvolvedRanks) {
+  bs::Schedule sch;
+  sch.p = 8;
+  sch.nblocks = 8;
+  sch.elem_count = 64;
+  sch.steps.assign(8, {});
+  sch.add_exchange(2, 1, 5, bs::BlockSet::all(8), false);
+  sch.add_local(1, 6, sch.elem_count * sch.elem_size, 1);
+  for (i64 r = 0; r < sch.p; ++r) {
+    const size_t want = r == 1 || r == 5 ? 3 : r == 6 ? 2 : 0;
+    EXPECT_EQ(sch.steps[static_cast<size_t>(r)].size(), want) << "rank " << r;
+  }
+  EXPECT_EQ(sch.num_steps(), 3u);
+  sch.normalize_steps();
+  for (const auto& rank_steps : sch.steps) EXPECT_EQ(rank_steps.size(), 3u);
+  EXPECT_EQ(sch.validate(), "");
+}

@@ -1,15 +1,14 @@
-// Schedule-generation fast path tests: SizeFreeSchedule resolution parity
-// against fresh lowering at every vector size, Runner cached-vs-uncached
-// bit-exactness across all four topology families, batched-sweep
-// equivalence with the per-query selectors, thread-count/cache determinism
-// of sweep output, demotion of size-dependent schedules, and scoped
+// Schedule-generation fast path tests: a cached SizeFreeSchedule simulates
+// bit-identically to the size-free form of fresh generation at every vector
+// size, Runner cached-vs-uncached bit-exactness across all four topology
+// families, sweep output against the reference oracle and across thread
+// counts and cache modes, demotion of size-dependent schedules, and scoped
 // RouteCache equality with the eager build.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -18,36 +17,15 @@
 #include "net/profiles.hpp"
 #include "net/route_cache.hpp"
 #include "net/simulate.hpp"
-#include "sched/compiled.hpp"
 #include "sched/schedule_cache.hpp"
+#include "sim_reference.hpp"
 
 using namespace bine;
 
-namespace {
-
-template <class T>
-std::vector<T> as_vec(std::span<const T> s) {
-  return {s.begin(), s.end()};
-}
-
-void expect_same_ir(const sched::CompiledSchedule& a, const sched::CompiledSchedule& b,
-                    const std::string& what) {
-  EXPECT_EQ(a.p, b.p) << what;
-  EXPECT_EQ(a.steps, b.steps) << what;
-  EXPECT_EQ(as_vec(a.step_begin), as_vec(b.step_begin)) << what;
-  EXPECT_EQ(as_vec(a.kind), as_vec(b.kind)) << what;
-  EXPECT_EQ(as_vec(a.rank), as_vec(b.rank)) << what;
-  EXPECT_EQ(as_vec(a.peer), as_vec(b.peer)) << what;
-  EXPECT_EQ(as_vec(a.bytes), as_vec(b.bytes)) << what;
-  EXPECT_EQ(as_vec(a.extra_segments), as_vec(b.extra_segments)) << what;
-}
-
-}  // namespace
-
-// One cached SizeFreeSchedule entry must resolve, for EVERY vector size, to
-// the exact CompiledSchedule a fresh generate+lower produces -- the
-// size-independence invariant the cache is built on.
-TEST(SizeFreeSchedule, ResolvesToFreshLoweringAtEverySize) {
+// One cached SizeFreeSchedule entry must simulate, at EVERY vector size,
+// bit-identically to the size-free form of a fresh generation at that size
+// -- the size-independence invariant the cache is built on.
+TEST(SizeFreeSchedule, CachedEntrySimulatesLikeFreshGenerationAtEverySize) {
   const struct {
     sched::Collective coll;
     const char* name;
@@ -70,7 +48,10 @@ TEST(SizeFreeSchedule, ResolvesToFreshLoweringAtEverySize) {
       {sched::Collective::alltoall, "bine"},
       {sched::Collective::alltoall, "pairwise"},
   };
+  const net::Torus topo({4, 4, 2}, 6.8e9);
+  const net::CostParams cp;
   for (const i64 p : {16, 24}) {  // pow2 and non-pow2
+    const net::RouteCache rc(topo, net::Placement::identity(p));
     for (const auto& c : cases) {
       const auto& entry = coll::find_algorithm(c.coll, c.name);
       if (entry.pow2_only && !is_pow2(p)) continue;
@@ -79,23 +60,28 @@ TEST(SizeFreeSchedule, ResolvesToFreshLoweringAtEverySize) {
       coll::Config build_cfg;
       build_cfg.p = p;
       build_cfg.elem_count = 3 * p + 1;  // canonical size != any probed size
-      const auto sf = std::make_shared<const sched::SizeFreeSchedule>(
-          sched::SizeFreeSchedule::from(entry.make(build_cfg)));
-      ASSERT_TRUE(sf->size_independent);
+      const sched::SizeFreeSchedule cached =
+          sched::SizeFreeSchedule::from(entry.make(build_cfg));
+      ASSERT_TRUE(cached.size_independent);
 
-      sched::CompiledSchedule resolved;
       for (const i64 elem_count : {p, 2 * p, 7 * p + 3, i64{262144}}) {
         coll::Config cfg = build_cfg;
         cfg.elem_count = elem_count;
-        const sched::CompiledSchedule fresh =
-            sched::CompiledSchedule::lower(entry.make(cfg));
-        sched::SizeFreeSchedule::resolve_into(sf, cfg.elem_count, cfg.elem_size,
-                                              resolved);
-        expect_same_ir(resolved, fresh, "elem_count=" + std::to_string(elem_count));
-        // The size-invariant columns must be shared, not copied: that is the
-        // point of the span-based resolve (O(bytes column) per cell).
-        EXPECT_EQ(resolved.kind.data(), sf->kind.data());
-        EXPECT_EQ(resolved.step_begin.data(), sf->step_begin.data());
+        const sched::SizeFreeSchedule fresh =
+            sched::SizeFreeSchedule::from(entry.make(cfg));
+        ASSERT_TRUE(fresh.size_independent);
+        EXPECT_TRUE(sched::SizeFreeSchedule::same_structure(cached, fresh));
+        const sched::SizeFreeSchedule* a[] = {&cached};
+        const sched::SizeFreeSchedule* b[] = {&fresh};
+        const i64 n[] = {elem_count};
+        const net::SimResult x = net::simulate_candidates(a, n, 4, rc, cp)[0][0];
+        const net::SimResult y = net::simulate_candidates(b, n, 4, rc, cp)[0][0];
+        EXPECT_EQ(x.seconds, y.seconds) << "elem_count=" << elem_count;  // bitwise
+        EXPECT_EQ(x.traffic.local_bytes, y.traffic.local_bytes);
+        EXPECT_EQ(x.traffic.global_bytes, y.traffic.global_bytes);
+        EXPECT_EQ(x.traffic.intra_node_bytes, y.traffic.intra_node_bytes);
+        EXPECT_EQ(x.traffic.messages, y.traffic.messages);
+        EXPECT_EQ(x.steps, y.steps);
       }
     }
   }
@@ -209,66 +195,47 @@ TEST(ScheduleCache, CachedRunsMatchUncachedAcrossTopologyFamilies) {
   }
 }
 
-namespace {
-
-std::vector<harness::SweepQuery> determinism_queries() {
-  std::vector<harness::SweepQuery> queries;
-  for (const sched::Collective coll :
-       {sched::Collective::allreduce, sched::Collective::bcast,
-        sched::Collective::alltoall})
-    for (const i64 size : {256, 16384, 1048576}) {
-      queries.push_back({coll, 64, size, harness::SweepQuery::Kind::bine, true});
-      queries.push_back({coll, 64, size, harness::SweepQuery::Kind::binomial, false});
-      queries.push_back({coll, 64, size, harness::SweepQuery::Kind::sota, false});
-    }
-  return queries;
-}
-
-}  // namespace
-
-// Batched sweep output must be identical to the per-query selectors
-// (best_bine/best_binomial/best_of-over-sota), cached or not, for
-// single-thread and BINE_THREADS=4-style multi-thread runs.
+// Sweep output is byte-identical across thread counts and cache modes, and
+// every best-series row is the reference argmin (fresh generation +
+// net::simulate_reference per candidate).
 TEST(ScheduleCache, SweepIsByteIdenticalAcrossThreadsAndCacheModes) {
-  const auto queries = determinism_queries();
+  unsetenv("BINE_FAULT_SPEC");  // the reference oracle models the healthy machine
+  const auto plan_for = [](bool use_cache, i64 threads) {
+    exp::SweepPlan plan;
+    plan.name = "determinism";
+    plan.systems = {exp::SystemSpec{net::fugaku_profile({4, 4, 4})}};
+    plan.systems[0].spread_placement = false;  // the oracle's machine
+    plan.systems[0].schedule_cache = use_cache;
+    plan.colls = {sched::Collective::allreduce, sched::Collective::bcast,
+                  sched::Collective::alltoall};
+    plan.series = {exp::Series::best_bine(/*contiguous_only=*/true),
+                   exp::Series::best_binomial(), exp::Series::best_sota()};
+    plan.nodes.counts = {64};
+    plan.sizes = {256, 16384, 1048576};
+    plan.threads = threads;
+    return plan;
+  };
 
-  // Reference: per-query selectors on an uncached runner (the pre-batching,
-  // pre-caching code path).
-  harness::Runner oracle(net::fugaku_profile({4, 4, 4}));
-  oracle.set_schedule_cache(false);
-  std::vector<std::pair<std::string, harness::RunResult>> expect;
-  for (const auto& q : queries) {
-    switch (q.kind) {
-      case harness::SweepQuery::Kind::bine:
-        expect.push_back(oracle.best_bine(q.coll, q.nodes, q.size_bytes, q.contiguous_only));
-        break;
-      case harness::SweepQuery::Kind::binomial:
-        expect.push_back(oracle.best_binomial(q.coll, q.nodes, q.size_bytes));
-        break;
-      case harness::SweepQuery::Kind::sota:
-        expect.push_back(
-            oracle.best_of(q.coll, oracle.sota_names(q.coll), q.nodes, q.size_bytes));
-        break;
-    }
+  const exp::SweepResult reference = exp::run(plan_for(false, 1));
+  harness::Runner names(net::fugaku_profile({4, 4, 4}));
+  const oracle::Machine machine(net::fugaku_profile({4, 4, 4}), 64);
+  for (size_t ci = 0; ci < reference.colls.size(); ++ci) {
+    const sched::Collective coll = reference.colls[ci];
+    const std::vector<std::string> families[] = {
+        names.bine_names(coll, true), names.binomial_names(coll), names.sota_names(coll)};
+    for (size_t si = 0; si < reference.sizes.size(); ++si)
+      for (size_t k = 0; k < 3; ++k)
+        oracle::expect_reference_best(oracle::got(reference.at(0, ci, 0, si, k)), machine,
+                                      coll, families[k], 64, reference.sizes[si],
+                                      std::string(to_string(coll)) + " series " +
+                                          std::to_string(k));
   }
 
-  for (const bool use_cache : {false, true}) {
-    for (const i64 threads : {1, 4}) {
-      harness::Runner runner(net::fugaku_profile({4, 4, 4}));
-      runner.set_schedule_cache(use_cache);
-      const auto got = runner.sweep(queries, threads);
-      ASSERT_EQ(got.size(), expect.size());
-      for (size_t i = 0; i < got.size(); ++i) {
-        SCOPED_TRACE("query " + std::to_string(i) + " cache=" +
-                     std::to_string(use_cache) + " threads=" + std::to_string(threads));
-        EXPECT_EQ(got[i].first, expect[i].first);
-        EXPECT_EQ(got[i].second.seconds, expect[i].second.seconds);
-        EXPECT_EQ(got[i].second.global_bytes, expect[i].second.global_bytes);
-        EXPECT_EQ(got[i].second.total_bytes, expect[i].second.total_bytes);
-        EXPECT_EQ(got[i].second.steps, expect[i].second.steps);
-      }
-    }
-  }
+  const std::string json = reference.to_json();
+  for (const bool use_cache : {false, true})
+    for (const i64 threads : {1, 4})
+      EXPECT_EQ(exp::run(plan_for(use_cache, threads)).to_json(), json)
+          << "cache=" << use_cache << " threads=" << threads;
 }
 
 // The scoped route build used by the Schedule-level conveniences must agree
@@ -286,12 +253,12 @@ TEST(ScopedRouteCache, MatchesEagerOnSchedulePairs) {
     SCOPED_TRACE(name);
     const sched::Schedule sch =
         coll::find_algorithm(sched::Collective::allreduce, name).make(cfg);
-    const sched::CompiledSchedule cs = sched::CompiledSchedule::lower(sch);
+    const sched::SizeFreeSchedule sf = sched::SizeFreeSchedule::from(sch);
 
     const net::RouteCache eager(topo, pl);
     std::vector<std::pair<Rank, Rank>> pairs;
-    for (size_t i = 0; i < cs.num_ops(); ++i)
-      if (cs.kind[i] == sched::OpKind::send) pairs.emplace_back(cs.rank[i], cs.peer[i]);
+    for (size_t i = 0; i < sf.num_ops(); ++i)
+      if (sf.kind[i] == sched::OpKind::send) pairs.emplace_back(sf.rank[i], sf.peer[i]);
     const net::RouteCache scoped(topo, pl, pairs);
 
     i64 scoped_links = 0;
@@ -307,9 +274,9 @@ TEST(ScopedRouteCache, MatchesEagerOnSchedulePairs) {
     }
 
     // Full simulation parity: the convenience overload (which routes scoped)
-    // against the compiled engine on the eager cache.
+    // against the same engine on the eager cache.
     const net::SimResult conv = net::simulate(sch, topo, pl, cp);
-    const net::SimResult fast = net::simulate(cs, eager, cp);
+    const net::SimResult fast = net::simulate(sch, eager, cp);
     EXPECT_EQ(conv.seconds, fast.seconds);
     EXPECT_EQ(conv.traffic.local_bytes, fast.traffic.local_bytes);
     EXPECT_EQ(conv.traffic.global_bytes, fast.traffic.global_bytes);

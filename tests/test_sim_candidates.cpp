@@ -1,10 +1,11 @@
-// Candidate-batched simulation parity: net::simulate_candidates must be
-// bit-identical to looping net::simulate_sizes over the candidate pool --
-// with or without a PairRouteMemo, cold or warm -- across the full algorithm
-// registry, all four topology families, and ragged/non-pow2 rank counts.
-// Runner-level, run_candidates must match run_sizes per candidate with the
-// schedule cache on and off, stay bit-identical when concurrent Runners
-// share the process-wide route memo, and fault-epoch memo scoping must never
+// Production-engine parity: net::simulate_candidates -- with or without a
+// PairRouteMemo, cold or warm -- against net::simulate_reference on the
+// schedule freshly generated at every size, across the full algorithm
+// registry, all four topology families, ragged/non-pow2 rank counts and a
+// ragged size axis. Runner-level, run_candidates must match per-size run()
+// with the schedule cache on and off, sweeps must stay byte-identical across
+// worker counts and cache modes, concurrent Runners sharing the process-wide
+// route memo must agree bit-for-bit, and fault-epoch memo scoping must never
 // leak degraded rows into healthy runs. "Bit-identical" is literal: seconds
 // compare by bit pattern, not tolerance.
 #include <gtest/gtest.h>
@@ -12,12 +13,14 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "coll/registry.hpp"
+#include "exp/paper_plans.hpp"
 #include "harness/runner.hpp"
 #include "net/pair_route_memo.hpp"
 #include "net/profiles.hpp"
@@ -62,10 +65,12 @@ void expect_bitwise_eq(const net::SimResult& batched, const net::SimResult& orac
 
 /// Every size-independent size-free schedule of the collective's registry at
 /// rank count p -- the pool a tuner/sweep cell batches. `own` keeps the
-/// shared entries alive behind the raw candidate span.
+/// shared entries alive behind the raw candidate span; `algos[k]` generated
+/// `ptrs[k]`.
 struct Pool {
   std::vector<std::shared_ptr<const sched::SizeFreeSchedule>> own;
   std::vector<const sched::SizeFreeSchedule*> ptrs;
+  std::vector<const coll::AlgorithmEntry*> algos;
 };
 
 Pool registry_pool(sched::Collective coll, i64 p) {
@@ -81,6 +86,7 @@ Pool registry_pool(sched::Collective coll, i64 p) {
     if (!sf->size_independent) continue;  // demoted: no batched path
     pool.own.push_back(std::move(sf));
     pool.ptrs.push_back(pool.own.back().get());
+    pool.algos.push_back(&algo);
   }
   return pool;
 }
@@ -88,11 +94,13 @@ Pool registry_pool(sched::Collective coll, i64 p) {
 }  // namespace
 
 // Full registry x 4 topology families x {ragged non-pow2, pow2} rank counts
-// on a ragged size axis: one simulate_candidates call over the whole pool vs
-// the per-candidate simulate_sizes loop it replaces -- three ways (no memo,
-// cold memo, warm memo), all bit-identical. A null pool slot must yield an
-// empty result row without disturbing its neighbours.
-TEST(SimCandidates, BitIdenticalToPerCandidateSimulateSizes) {
+// on a ragged size axis: one simulate_candidates call over the whole pool --
+// three ways (no memo, cold memo, warm memo), bit-identical to each other --
+// against the reference engine on the schedule generated fresh at each
+// size: traffic, messages and steps exact, seconds to 1e-12 relative. A null
+// pool slot must yield an empty result row without disturbing its
+// neighbours.
+TEST(SimCandidates, MatchesReferenceOnFreshGenerationAcrossRegistry) {
   const net::CostParams cp;  // defaults: distinct alpha/seg/bw knobs
   const std::vector<i64> elem_counts = {8, 27, 64, 100, 512, 4096, 12345, 262144};
   net::PairRouteMemo memo;  // one instance across every topology: scope keying
@@ -105,8 +113,9 @@ TEST(SimCandidates, BitIdenticalToPerCandidateSimulateSizes) {
         Pool pool = registry_pool(coll, p);
         if (pool.ptrs.empty()) continue;
         // A dead slot mid-pool (an inapplicable candidate).
-        pool.ptrs.insert(pool.ptrs.begin() + static_cast<std::ptrdiff_t>(pool.ptrs.size() / 2),
-                         nullptr);
+        const auto mid = static_cast<std::ptrdiff_t>(pool.ptrs.size() / 2);
+        pool.ptrs.insert(pool.ptrs.begin() + mid, nullptr);
+        pool.algos.insert(pool.algos.begin() + mid, nullptr);
         const auto no_memo =
             net::simulate_candidates(pool.ptrs, elem_counts, 4, rc, cp, nullptr);
         const auto cold =
@@ -123,19 +132,26 @@ TEST(SimCandidates, BitIdenticalToPerCandidateSimulateSizes) {
             EXPECT_TRUE(warm[k].empty());
             continue;
           }
-          const auto oracle =
-              net::simulate_sizes(*pool.ptrs[k], elem_counts, 4, rc, cp);
-          ASSERT_EQ(oracle.size(), elem_counts.size());
-          const std::string what = topo->name() + "/" + to_string(coll) +
-                                   " cand=" + std::to_string(k) +
-                                   " p=" + std::to_string(p);
+          ASSERT_EQ(no_memo[k].size(), elem_counts.size());
+          const std::string what = topo->name() + "/" + to_string(coll) + "/" +
+                                   pool.algos[k]->name + " p=" + std::to_string(p);
           for (size_t s = 0; s < elem_counts.size(); ++s) {
-            expect_bitwise_eq(no_memo[k][s], oracle[s],
-                              what + " n=" + std::to_string(elem_counts[s]) + " [no memo]");
-            expect_bitwise_eq(cold[k][s], oracle[s],
-                              what + " n=" + std::to_string(elem_counts[s]) + " [cold]");
-            expect_bitwise_eq(warm[k][s], oracle[s],
-                              what + " n=" + std::to_string(elem_counts[s]) + " [warm]");
+            const std::string at = what + " n=" + std::to_string(elem_counts[s]);
+            expect_bitwise_eq(cold[k][s], no_memo[k][s], at + " [cold]");
+            expect_bitwise_eq(warm[k][s], no_memo[k][s], at + " [warm]");
+            coll::Config cfg;
+            cfg.p = p;
+            cfg.elem_size = 4;
+            cfg.elem_count = elem_counts[s];
+            const net::SimResult ref =
+                net::simulate_reference(pool.algos[k]->make(cfg), *topo, pl, cp);
+            const net::SimResult& got = no_memo[k][s];
+            EXPECT_NEAR(got.seconds, ref.seconds, std::abs(ref.seconds) * 1e-12) << at;
+            EXPECT_EQ(got.traffic.local_bytes, ref.traffic.local_bytes) << at;
+            EXPECT_EQ(got.traffic.global_bytes, ref.traffic.global_bytes) << at;
+            EXPECT_EQ(got.traffic.intra_node_bytes, ref.traffic.intra_node_bytes) << at;
+            EXPECT_EQ(got.traffic.messages, ref.traffic.messages) << at;
+            EXPECT_EQ(got.steps, ref.steps) << at;
           }
           ++checked;
         }
@@ -152,15 +168,18 @@ TEST(SimCandidates, BitIdenticalToPerCandidateSimulateSizes) {
   EXPECT_GT(stats.bytes, 0u);
 }
 
-// Runner-level parity: run_candidates vs a run_sizes loop over the same
-// pool, schedule cache on and off (off exercises the per-candidate
-// fallback), nullptr slots marking inapplicable candidates.
-TEST(SimCandidates, RunnerRunCandidatesMatchesRunSizes) {
+// Runner-level parity: run_candidates vs a per-size run() loop over the same
+// pool, schedule cache on and off (off generates every candidate fresh per
+// size), nullptr slots marking inapplicable candidates; the two cache modes
+// must agree bit-for-bit too.
+TEST(SimCandidates, RunnerRunCandidatesMatchesRunLoop) {
   const std::vector<i64> sizes = {64, 1024, 12345, 65536, 1 << 20};
+  std::vector<std::vector<std::vector<harness::RunResult>>> by_mode;
   for (const bool cache_on : {true, false}) {
     harness::Runner runner(net::lumi_profile());
     runner.use_private_schedule_cache();
     runner.set_schedule_cache(cache_on);
+    by_mode.emplace_back();
     for (const sched::Collective coll : coll::all_collectives()) {
       std::vector<const coll::AlgorithmEntry*> algos;
       for (const auto& algo : coll::algorithms_for(coll)) {
@@ -170,25 +189,59 @@ TEST(SimCandidates, RunnerRunCandidatesMatchesRunSizes) {
       const auto batched = runner.run_candidates(coll, algos, 24, sizes);
       ASSERT_EQ(batched.size(), algos.size());
       for (size_t k = 0; k < algos.size(); ++k) {
+        by_mode.back().push_back(batched[k]);
         if (algos[k] == nullptr) {
           EXPECT_TRUE(batched[k].empty());
           continue;
         }
-        const auto oracle = runner.run_sizes(coll, *algos[k], 24, sizes);
-        ASSERT_EQ(batched[k].size(), oracle.size());
+        ASSERT_EQ(batched[k].size(), sizes.size());
         for (size_t s = 0; s < sizes.size(); ++s) {
+          const harness::RunResult oracle = runner.run(coll, *algos[k], 24, sizes[s]);
           EXPECT_EQ(std::bit_cast<std::uint64_t>(batched[k][s].seconds),
-                    std::bit_cast<std::uint64_t>(oracle[s].seconds))
+                    std::bit_cast<std::uint64_t>(oracle.seconds))
               << to_string(coll) << "/" << algos[k]->name << " size=" << sizes[s]
               << " cache=" << cache_on;
-          EXPECT_EQ(batched[k][s].global_bytes, oracle[s].global_bytes);
-          EXPECT_EQ(batched[k][s].total_bytes, oracle[s].total_bytes);
-          EXPECT_EQ(batched[k][s].messages, oracle[s].messages);
-          EXPECT_EQ(batched[k][s].steps, oracle[s].steps);
+          EXPECT_EQ(batched[k][s].global_bytes, oracle.global_bytes);
+          EXPECT_EQ(batched[k][s].total_bytes, oracle.total_bytes);
+          EXPECT_EQ(batched[k][s].messages, oracle.messages);
+          EXPECT_EQ(batched[k][s].steps, oracle.steps);
         }
       }
     }
   }
+  ASSERT_EQ(by_mode[0].size(), by_mode[1].size());
+  for (size_t i = 0; i < by_mode[0].size(); ++i) {
+    ASSERT_EQ(by_mode[0][i].size(), by_mode[1][i].size()) << "pool slot " << i;
+    for (size_t s = 0; s < by_mode[0][i].size(); ++s) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(by_mode[0][i][s].seconds),
+                std::bit_cast<std::uint64_t>(by_mode[1][i][s].seconds))
+          << "pool slot " << i << " size=" << sizes[s];
+      EXPECT_EQ(by_mode[0][i][s].total_bytes, by_mode[1][i][s].total_bytes);
+      EXPECT_EQ(by_mode[0][i][s].messages, by_mode[1][i][s].messages);
+    }
+  }
+}
+
+// Sweep grouping (one (coll, nodes) cell spanning the size axis, the bine /
+// binomial / sota series sharing one candidate pool) must stay
+// byte-identical across worker counts {1, 4} x cache on/off, at ragged node
+// counts.
+TEST(SimCandidates, SweepDeterministicAcrossThreadsAndCache) {
+  std::string reference;
+  for (const bool cache_on : {true, false})
+    for (const i64 threads : {i64{1}, i64{4}}) {
+      exp::SweepPlan plan = exp::paper::binomial_table(
+          net::lumi_profile(), {18, 27}, {256, 4096, 65536});
+      plan.colls = {sched::Collective::allreduce, sched::Collective::bcast,
+                    sched::Collective::allgather};
+      plan.series = {exp::Series::best_bine(false), exp::Series::best_binomial(),
+                     exp::Series::best_sota()};
+      plan.systems[0].schedule_cache = cache_on;
+      plan.threads = threads;
+      const std::string json = exp::run(plan).to_json();
+      if (reference.empty()) reference = json;
+      EXPECT_EQ(json, reference) << "cache=" << cache_on << " threads=" << threads;
+    }
 }
 
 // Concurrent Runners hammering the SAME process-wide route memo -- worker

@@ -1,21 +1,22 @@
-// Compiled simulation engine tests: route-cache vs virtual route()
-// equivalence, flat-IR lowering invariants, compiled-vs-reference parity of
+// Simulation engine tests: route-cache vs virtual route() equivalence, the
+// size-free IR's op order, production-vs-reference parity of
 // TrafficStats/SimResult across all four topology families, ragged-schedule
-// safety, and thread-count determinism of the parallel sweep runner.
+// safety, and thread-count determinism of the parallel sweep engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <memory>
 
 #include "coll/registry.hpp"
+#include "exp/paper_plans.hpp"
 #include "harness/parallel.hpp"
-#include "harness/runner.hpp"
 #include "net/profiles.hpp"
 #include "net/route_cache.hpp"
 #include "net/simulate.hpp"
 #include "net/topology.hpp"
-#include "sched/compiled.hpp"
+#include "sched/schedule_cache.hpp"
 
 using namespace bine;
 
@@ -81,28 +82,28 @@ TEST(RouteCache, MatchesVirtualRouteForAllPairs) {
   }
 }
 
-TEST(CompiledSchedule, LoweringPreservesOpsInStepRankOrder) {
+TEST(SizeFreeSchedule, SimulationStreamFollowsStepRankOrder) {
   coll::Config cfg;
   cfg.p = 16;
   cfg.elem_count = 1024;
   const sched::Schedule sch =
       coll::find_algorithm(sched::Collective::allreduce, "rabenseifner").make(cfg);
-  const sched::CompiledSchedule cs = sched::CompiledSchedule::lower(sch);
+  const sched::SizeFreeSchedule sf = sched::SizeFreeSchedule::from(sch);
 
-  EXPECT_EQ(cs.p, sch.p);
-  EXPECT_EQ(cs.steps, sch.num_steps());
-  ASSERT_EQ(cs.step_begin.size(), cs.steps + 1);
-  EXPECT_EQ(cs.step_begin.front(), 0u);
-  EXPECT_EQ(cs.step_begin.back(), cs.num_ops());
+  EXPECT_EQ(sf.p, sch.p);
+  EXPECT_EQ(sf.steps, sch.num_steps());
+  ASSERT_EQ(sf.step_begin.size(), sf.steps + 1);
+  EXPECT_EQ(sf.step_begin.front(), 0u);
+  EXPECT_EQ(sf.step_begin.back(), sf.num_ops());
 
-  // Plain recvs are cost-free in the model and dropped at lowering time;
-  // everything else must survive.
+  // Plain recvs are cost-free in the model and dropped from the simulation
+  // stream; everything else must survive.
   size_t total_costed_ops = 0;
   for (const auto& rank_steps : sch.steps)
     for (const auto& st : rank_steps)
       for (const auto& op : st.ops)
         if (op.kind != sched::OpKind::recv) ++total_costed_ops;
-  EXPECT_EQ(cs.num_ops(), total_costed_ops);
+  EXPECT_EQ(sf.num_ops(), total_costed_ops);
 
   // Within each step, ops must be grouped by non-decreasing rank and mirror
   // the original per-rank op order (the engine's overhead accumulator and
@@ -113,52 +114,32 @@ TEST(CompiledSchedule, LoweringPreservesOpsInStepRankOrder) {
       if (op.kind != sched::OpKind::recv) ops.push_back(&op);
     return ops;
   };
-  for (size_t t = 0; t < cs.steps; ++t) {
-    ASSERT_LE(cs.step_begin[t], cs.step_begin[t + 1]);
+  for (size_t t = 0; t < sf.steps; ++t) {
+    ASSERT_LE(sf.step_begin[t], sf.step_begin[t + 1]);
     std::int32_t prev_rank = -1;
     std::vector<const sched::Op*> rank_ops;
     size_t op_in_rank = 0;
-    for (std::uint32_t i = cs.step_begin[t]; i < cs.step_begin[t + 1]; ++i) {
-      ASSERT_GE(cs.rank[i], prev_rank);
-      if (cs.rank[i] != prev_rank) {
-        rank_ops = costed_ops_of(cs.rank[i], t);
+    for (std::uint32_t i = sf.step_begin[t]; i < sf.step_begin[t + 1]; ++i) {
+      ASSERT_GE(sf.rank[i], prev_rank);
+      if (sf.rank[i] != prev_rank) {
+        rank_ops = costed_ops_of(sf.rank[i], t);
         op_in_rank = 0;
       }
       ASSERT_LT(op_in_rank, rank_ops.size());
       const sched::Op& op = *rank_ops[op_in_rank];
-      EXPECT_EQ(cs.kind[i], op.kind);
-      EXPECT_EQ(cs.peer[i], op.peer);
-      EXPECT_EQ(cs.bytes[i], op.bytes);
-      EXPECT_EQ(cs.extra_segments[i], std::max<i64>(0, op.segments - 1));
-      prev_rank = cs.rank[i];
+      EXPECT_EQ(sf.kind[i], op.kind);
+      EXPECT_EQ(sf.peer[i], op.peer);
+      const auto rs = op.blocks.ranges();
+      EXPECT_TRUE(std::equal(rs.begin(), rs.end(), sf.ranges.begin() + sf.block_begin[i],
+                             sf.ranges.begin() + sf.block_begin[i + 1]));
+      EXPECT_EQ(sf.extra_segments[i], std::max<i64>(0, op.segments - 1));
+      prev_rank = sf.rank[i];
       ++op_in_rank;
     }
   }
-
-  // lower_into into a dirty scratch (previously holding a bigger schedule)
-  // must produce exactly the same IR as a fresh lower().
-  sched::CompiledSchedule scratch = sched::CompiledSchedule::lower(sch);
-  coll::Config small;
-  small.p = 8;
-  small.elem_count = 64;
-  const sched::Schedule sch2 =
-      coll::find_algorithm(sched::Collective::allreduce, "recursive_doubling").make(small);
-  sched::CompiledSchedule::lower_into(sch2, scratch);
-  const sched::CompiledSchedule fresh = sched::CompiledSchedule::lower(sch2);
-  EXPECT_EQ(scratch.p, fresh.p);
-  EXPECT_EQ(scratch.steps, fresh.steps);
-  const auto same = [](auto a, auto b) {
-    return std::equal(a.begin(), a.end(), b.begin(), b.end());
-  };
-  EXPECT_TRUE(same(scratch.step_begin, fresh.step_begin));
-  EXPECT_TRUE(same(scratch.kind, fresh.kind));
-  EXPECT_TRUE(same(scratch.rank, fresh.rank));
-  EXPECT_TRUE(same(scratch.peer, fresh.peer));
-  EXPECT_TRUE(same(scratch.bytes, fresh.bytes));
-  EXPECT_TRUE(same(scratch.extra_segments, fresh.extra_segments));
 }
 
-TEST(SimEngine, CompiledMatchesReferenceAcrossTopologies) {
+TEST(SimEngine, ProductionMatchesReferenceAcrossTopologies) {
   const struct {
     sched::Collective coll;
     const char* name;
@@ -184,19 +165,18 @@ TEST(SimEngine, CompiledMatchesReferenceAcrossTopologies) {
         cfg.p = topo->num_nodes();
         cfg.elem_count = 3 * cfg.p;  // non-divisible block sizes included
         const sched::Schedule sch = coll::find_algorithm(c.coll, c.name).make(cfg);
-        const sched::CompiledSchedule cs = sched::CompiledSchedule::lower(sch);
         SCOPED_TRACE(std::string(topo->name()) + "/" + c.name +
                      (scramble ? "/scrambled" : "/identity"));
 
         const net::TrafficStats ref_traffic = net::measure_traffic_reference(sch, *topo, pl);
-        const net::TrafficStats fast_traffic = net::measure_traffic(cs, rc);
+        const net::TrafficStats fast_traffic = net::measure_traffic(sch, *topo, pl);
         EXPECT_EQ(fast_traffic.local_bytes, ref_traffic.local_bytes);
         EXPECT_EQ(fast_traffic.global_bytes, ref_traffic.global_bytes);
         EXPECT_EQ(fast_traffic.intra_node_bytes, ref_traffic.intra_node_bytes);
         EXPECT_EQ(fast_traffic.messages, ref_traffic.messages);
 
         const net::SimResult ref = net::simulate_reference(sch, *topo, pl, cp);
-        const net::SimResult fast = net::simulate(cs, rc, cp);
+        const net::SimResult fast = net::simulate(sch, rc, cp);
         EXPECT_EQ(fast.steps, ref.steps);
         EXPECT_EQ(fast.traffic.local_bytes, ref.traffic.local_bytes);
         EXPECT_EQ(fast.traffic.global_bytes, ref.traffic.global_bytes);
@@ -204,7 +184,7 @@ TEST(SimEngine, CompiledMatchesReferenceAcrossTopologies) {
         EXPECT_EQ(fast.traffic.messages, ref.traffic.messages);
         EXPECT_NEAR(fast.seconds, ref.seconds, std::abs(ref.seconds) * 1e-12);
 
-        // The Schedule-level conveniences are the compiled engine.
+        // The scoped-route convenience is the same engine.
         const net::SimResult conv = net::simulate(sch, *topo, pl, cp);
         EXPECT_EQ(conv.seconds, fast.seconds);
         EXPECT_EQ(conv.traffic.global_bytes, fast.traffic.global_bytes);
@@ -234,8 +214,7 @@ TEST(SimEngine, RaggedScheduleIsNotUnderSimulated) {
   const net::Placement pl = net::Placement::identity(3);
   const net::CostParams cp;
   const net::SimResult ref = net::simulate_reference(sch, topo, pl, cp);
-  const net::SimResult fast =
-      net::simulate(sched::CompiledSchedule::lower(sch), net::RouteCache(topo, pl), cp);
+  const net::SimResult fast = net::simulate(sch, topo, pl, cp);
   EXPECT_EQ(ref.traffic.messages, 2);
   EXPECT_EQ(fast.traffic.messages, 2);
   EXPECT_EQ(fast.steps, 2u);
@@ -243,31 +222,19 @@ TEST(SimEngine, RaggedScheduleIsNotUnderSimulated) {
 }
 
 TEST(SweepRunner, ResultsAreBitIdenticalAcrossThreadCounts) {
-  std::vector<harness::SweepQuery> queries;
-  for (const sched::Collective coll :
-       {sched::Collective::allreduce, sched::Collective::bcast, sched::Collective::alltoall})
-    for (const i64 size : {256, 16384, 1048576}) {
-      queries.push_back({coll, 64, size, harness::SweepQuery::Kind::bine, true});
-      queries.push_back({coll, 64, size, harness::SweepQuery::Kind::binomial, false});
-      queries.push_back({coll, 64, size, harness::SweepQuery::Kind::sota, false});
-    }
-
-  std::vector<std::vector<std::pair<std::string, harness::RunResult>>> all;
+  std::string reference;
   for (const i64 threads : {1, 2, 5}) {
-    harness::Runner runner(net::fugaku_profile({4, 4, 4}));
-    all.push_back(runner.sweep(queries, threads));
-  }
-  for (size_t v = 1; v < all.size(); ++v) {
-    ASSERT_EQ(all[v].size(), all[0].size());
-    for (size_t i = 0; i < all[0].size(); ++i) {
-      EXPECT_EQ(all[v][i].first, all[0][i].first) << "query " << i;
-      // Bitwise-equal doubles: same cells must run the same arithmetic
-      // regardless of which worker executes them.
-      EXPECT_EQ(all[v][i].second.seconds, all[0][i].second.seconds) << "query " << i;
-      EXPECT_EQ(all[v][i].second.global_bytes, all[0][i].second.global_bytes);
-      EXPECT_EQ(all[v][i].second.total_bytes, all[0][i].second.total_bytes);
-      EXPECT_EQ(all[v][i].second.steps, all[0][i].second.steps);
-    }
+    exp::SweepPlan plan = exp::paper::binomial_table(
+        net::fugaku_profile({4, 4, 4}), {64}, {256, 16384, 1048576});
+    plan.colls = {sched::Collective::allreduce, sched::Collective::bcast,
+                  sched::Collective::alltoall};
+    plan.series.push_back(exp::Series::best_sota());
+    plan.threads = threads;
+    // Byte-identical JSON: same cells must run the same arithmetic (%.17g
+    // doubles) regardless of which worker executes them.
+    const std::string json = exp::run(plan).to_json();
+    if (reference.empty()) reference = json;
+    EXPECT_EQ(json, reference) << "threads=" << threads;
   }
 }
 

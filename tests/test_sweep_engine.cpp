@@ -1,13 +1,15 @@
-// Sweep-engine tests: golden parity between the declarative plans the ported
-// bench drivers run and the pre-refactor driver loops (Runner::sweep query
-// lists, direct best_of/run calls, select()+run dispatch), asserted
-// bit-identically across shard widths {1, 4} and schedule cache on/off; the
+// Sweep-engine tests: golden parity between the declarative plans the bench
+// drivers run and the reference oracle (fresh generation +
+// net::simulate_reference per candidate, tests/sim_reference.hpp), direct
+// Runner::run calls and select()+run dispatch, across shard widths {1, 4}
+// and schedule cache on/off; the
 // planner's cell dedup; canonical row ordering and JSON stability; the
 // custom-backend placeholder axes; NodeAxis per-collective extension; and
 // the verified-execution backend's digest parity with Runner::run_verified.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "exp/sweep.hpp"
 #include "harness/runner.hpp"
 #include "net/profiles.hpp"
+#include "sim_reference.hpp"
 #include "tune/tuner.hpp"
 
 using namespace bine;
@@ -42,84 +45,77 @@ void expect_metrics_eq(const exp::Metrics& m, const std::string& name,
   EXPECT_EQ(m.steps, r.steps);
 }
 
-}  // namespace
 
-// The pre-refactor binomial-table loop (bench_common.hpp's query list fed to
-// Runner::sweep) vs the ported plan: bit-identical metrics for every cell,
-// across shard widths and cache modes.
-TEST(SweepEngine, GoldenParityBinomialTable) {
-  for (const bool cache : {true, false}) {
-    for (const i64 threads : {i64{1}, i64{4}}) {
-      exp::SweepPlan plan =
-          exp::paper::binomial_table(net::lumi_profile(), kNodes, kSizes);
-      plan.systems[0].schedule_cache = cache;
-      plan.threads = threads;
-      const exp::SweepResult result = exp::run(plan);
-
-      // The pre-refactor loop, verbatim: paired bine/binomial queries in
-      // collective-major order through Runner::sweep.
-      harness::Runner runner(net::lumi_profile());
-      runner.set_schedule_cache(cache);
-      std::vector<harness::SweepQuery> queries;
-      for (const Collective coll : coll::all_collectives())
-        for (const i64 nodes : kNodes)
-          for (const i64 size : kSizes) {
-            queries.push_back({coll, nodes, size, harness::SweepQuery::Kind::bine,
-                               /*contiguous_only=*/true});
-            queries.push_back(
-                {coll, nodes, size, harness::SweepQuery::Kind::binomial, false});
-          }
-      const auto golden = runner.sweep(queries);
-
-      size_t q = 0;
-      for (size_t ci = 0; ci < result.colls.size(); ++ci)
-        for (size_t ni = 0; ni < kNodes.size(); ++ni)
-          for (size_t si = 0; si < kSizes.size(); ++si) {
-            expect_metrics_eq(result.at(0, ci, ni, si, 0), golden[q].first,
-                              golden[q].second);
-            expect_metrics_eq(result.at(0, ci, ni, si, 1), golden[q + 1].first,
-                              golden[q + 1].second);
-            q += 2;
-          }
-      EXPECT_EQ(q, golden.size());
+// Every best-series row of a plan must be the reference argmin over its
+// series' candidates, with the winner's metrics matching the reference.
+void expect_rows_match_reference(const exp::SweepResult& result,
+                                 const exp::SweepPlan& plan, harness::Runner& names,
+                                 const std::string& what) {
+  for (size_t ci = 0; ci < result.colls.size(); ++ci) {
+    const Collective coll = result.colls[ci];
+    for (size_t ni = 0; ni < result.coll_nodes[ci].size(); ++ni) {
+      const i64 p = result.coll_nodes[ci][ni];
+      const oracle::Machine machine(plan.systems[0].profile, p);
+      for (size_t si = 0; si < result.sizes.size(); ++si)
+        for (size_t k = 0; k < plan.series.size(); ++k) {
+          const exp::Series& series = plan.series[k];
+          const std::vector<std::string> candidates =
+              series.family == exp::Series::Family::bine
+                  ? names.bine_names(coll, series.contiguous_only)
+              : series.family == exp::Series::Family::binomial
+                  ? names.binomial_names(coll)
+              : series.family == exp::Series::Family::sota ? names.sota_names(coll)
+                                                           : series.algorithms;
+          oracle::expect_reference_best(
+              oracle::got(result.at(0, ci, ni, si, k)), machine, coll, candidates, p,
+              result.sizes[si],
+              what + " " + to_string(coll) + " p=" + std::to_string(p) +
+                  " size=" + std::to_string(result.sizes[si]) + " " + series.label);
+        }
     }
   }
 }
 
-// The heatmap/boxplot series (bine vs sota) vs the pre-refactor query list.
+}  // namespace
+
+// The binomial-table plan (Tables 3-5) against the reference oracle --
+// fresh generation + net::simulate_reference per candidate -- across shard
+// widths and cache modes.
+TEST(SweepEngine, GoldenParityBinomialTable) {
+  unsetenv("BINE_FAULT_SPEC");  // the reference oracle models the healthy machine
+  harness::Runner names(net::lumi_profile());
+  for (const bool cache : {true, false}) {
+    for (const i64 threads : {i64{1}, i64{4}}) {
+      exp::SweepPlan plan =
+          exp::paper::binomial_table(net::lumi_profile(), kNodes, kSizes);
+      plan.systems[0].spread_placement = false;  // the oracle's machine
+      plan.systems[0].schedule_cache = cache;
+      plan.threads = threads;
+      expect_rows_match_reference(exp::run(plan), plan, names,
+                                  "cache=" + std::to_string(cache) +
+                                      " threads=" + std::to_string(threads));
+    }
+  }
+}
+
+// The heatmap/boxplot series (bine vs sota) against the reference oracle.
 TEST(SweepEngine, GoldenParitySotaSeries) {
+  unsetenv("BINE_FAULT_SPEC");  // the reference oracle models the healthy machine
+  harness::Runner names(net::lumi_profile());
   exp::SweepPlan plan =
       exp::paper::sota_boxplots(net::lumi_profile(), kNodes, kSizes, kColls);
-  const exp::SweepResult result = exp::run(plan);
-
-  harness::Runner runner(net::lumi_profile());
-  std::vector<harness::SweepQuery> queries;
-  for (const Collective coll : kColls)
-    for (const i64 nodes : kNodes)
-      for (const i64 size : kSizes) {
-        queries.push_back({coll, nodes, size, harness::SweepQuery::Kind::bine, false});
-        queries.push_back({coll, nodes, size, harness::SweepQuery::Kind::sota, false});
-      }
-  const auto golden = runner.sweep(queries);
-
-  size_t q = 0;
-  for (size_t ci = 0; ci < kColls.size(); ++ci)
-    for (size_t ni = 0; ni < kNodes.size(); ++ni)
-      for (size_t si = 0; si < kSizes.size(); ++si) {
-        expect_metrics_eq(result.at(0, ci, ni, si, 0), golden[q].first,
-                          golden[q].second);
-        expect_metrics_eq(result.at(0, ci, ni, si, 1), golden[q + 1].first,
-                          golden[q + 1].second);
-        q += 2;
-      }
+  plan.systems[0].spread_placement = false;
+  expect_rows_match_reference(exp::run(plan), plan, names, "sota");
 }
 
 // Explicit-list series (the fig11b/fig14/sec6 shape: singles + best-of) vs
-// direct Runner::run / best_of calls, including the pow2 skip.
+// direct Runner::run calls and the reference oracle, including the pow2 skip.
 TEST(SweepEngine, GoldenParityExplicitSeries) {
+  unsetenv("BINE_FAULT_SPEC");  // the reference oracle models the healthy machine
   exp::SweepPlan plan;
   plan.name = "golden_explicit";
   plan.systems = {exp::SystemSpec{net::mn5_profile()}};
+  plan.systems[0].spread_placement = false;
   plan.colls = {Collective::allgather};
   plan.series = {exp::Series::single("ring"),
                  exp::Series::single("bine_permute"),  // pow2-only
@@ -128,9 +124,10 @@ TEST(SweepEngine, GoldenParityExplicitSeries) {
   plan.sizes = kSizes;
   const exp::SweepResult result = exp::run(plan);
 
-  harness::Runner runner(net::mn5_profile());
+  harness::Runner runner(net::mn5_profile(), /*spread_placement=*/false);
   for (size_t ni = 0; ni < plan.nodes.counts.size(); ++ni) {
     const i64 p = plan.nodes.counts[ni];
+    const oracle::Machine machine(net::mn5_profile(), p);
     for (size_t si = 0; si < kSizes.size(); ++si) {
       const i64 size = kSizes[si];
       expect_metrics_eq(
@@ -142,9 +139,9 @@ TEST(SweepEngine, GoldenParityExplicitSeries) {
       } else {
         EXPECT_TRUE(result.at(0, 0, ni, si, 1).skipped);
       }
-      const auto best = runner.best_of(Collective::allgather,
-                                       {"recursive_doubling", "ring"}, p, size);
-      expect_metrics_eq(result.at(0, 0, ni, si, 2), best.first, best.second);
+      oracle::expect_reference_best(oracle::got(result.at(0, 0, ni, si, 2)), machine,
+                                    Collective::allgather, {"recursive_doubling", "ring"},
+                                    p, size, "flat p=" + std::to_string(p));
     }
   }
 }

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "coll/registry.hpp"
+#include "harness/parallel.hpp"
 #include "harness/runner.hpp"
 #include "harness/tuned_runner.hpp"
 #include "net/profiles.hpp"
@@ -250,18 +251,37 @@ TEST(TunedRunner, MissPoliciesAndCounters) {
 TEST(Runner, VerifiedSweepAcrossElementTypesAndOps) {
   const net::SystemProfile profile = net::fugaku_profile({4, 4, 4});
 
-  std::vector<harness::VerifiedQuery> queries;
+  struct Query {
+    const char* algorithm;
+    runtime::ElemType elem;
+    runtime::ReduceOp op;
+  };
+  std::vector<Query> queries;
   for (const runtime::ElemType elem :
        {runtime::ElemType::u32, runtime::ElemType::u64, runtime::ElemType::f32,
         runtime::ElemType::f64})
     for (const runtime::ReduceOp op :
          {runtime::ReduceOp::sum, runtime::ReduceOp::min, runtime::ReduceOp::max})
       for (const char* algo : {"bine_two_trans", "recursive_doubling"})
-        queries.push_back({Collective::allreduce, algo, 16, 4096, elem, op});
+        queries.push_back({algo, elem, op});
+  // Every query over `workers` sweep threads, each execution single-threaded.
+  const auto run_all = [&](harness::Runner& runner, i64 workers) {
+    std::vector<harness::VerifiedRun> out(queries.size());
+    harness::parallel_for(
+        static_cast<i64>(queries.size()),
+        [&](i64 i) {
+          const Query& q = queries[static_cast<size_t>(i)];
+          const auto& algo = coll::find_algorithm(Collective::allreduce, q.algorithm);
+          out[static_cast<size_t>(i)] = runner.run_verified(
+              Collective::allreduce, algo, 16, 4096, /*threads=*/1, q.elem, q.op);
+        },
+        workers);
+    return out;
+  };
 
   harness::Runner cached(profile);
   cached.use_private_schedule_cache();
-  const std::vector<harness::VerifiedRun> serial = cached.sweep_verified(queries, 1);
+  const std::vector<harness::VerifiedRun> serial = run_all(cached, 1);
   ASSERT_EQ(serial.size(), queries.size());
   std::set<u64> digests;
   for (size_t i = 0; i < serial.size(); ++i) {
@@ -275,7 +295,7 @@ TEST(Runner, VerifiedSweepAcrossElementTypesAndOps) {
   EXPECT_EQ(digests.size(), 12u);
 
   // Worker-count independence, digests included.
-  const std::vector<harness::VerifiedRun> sharded = cached.sweep_verified(queries, 4);
+  const std::vector<harness::VerifiedRun> sharded = run_all(cached, 4);
   for (size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(sharded[i].ok, serial[i].ok);
     EXPECT_EQ(sharded[i].digest, serial[i].digest) << "query " << i;
@@ -286,7 +306,7 @@ TEST(Runner, VerifiedSweepAcrossElementTypesAndOps) {
   // Cache-off parity: the fresh-generation path reproduces every digest.
   harness::Runner uncached(profile);
   uncached.set_schedule_cache(false);
-  const std::vector<harness::VerifiedRun> fresh = uncached.sweep_verified(queries, 1);
+  const std::vector<harness::VerifiedRun> fresh = run_all(uncached, 1);
   for (size_t i = 0; i < serial.size(); ++i) {
     EXPECT_TRUE(fresh[i].ok) << fresh[i].error;
     EXPECT_FALSE(fresh[i].used_cache);
