@@ -1,15 +1,18 @@
-// Before/after benchmark of the simulation engine: the naive reference
+// Single-query benchmark of the simulation engine: the naive reference
 // (virtual route() per message, hash-map link accumulators, double routing
 // via measure_traffic) vs the production engine (net::simulate_candidates
-// over the cached size-free IR, a RouteCache and a warm PairRouteMemo -- the
-// shape every sweep cell runs).
+// as a 1x1 call -- one schedule, one size -- over a RouteCache and a warm
+// PairRouteMemo: the shape harness::Runner::run issues, not the pooled,
+// whole-size-axis calls sweeps make).
 //
 // Cells: every non-specialized allreduce algorithm at the paper's vector
 // sizes, on a Torus(4x4x4) (dense, small link table) and on a 1,320-link
-// Dragonfly (sparse, large link table). Each cell generates its schedule
-// (untimed), asserts parity -- traffic, messages and steps exact, seconds
-// within 1e-12 relative -- then times each engine per (schedule, size) cell.
-// The exit code gates parity. Emits BENCH_sim.json.
+// Dragonfly (sparse, large link table). Each cell generates its schedule and
+// size-free form (untimed), asserts parity -- traffic, messages and steps
+// exact, seconds within 1e-12 relative -- then times each engine per
+// (schedule, size) cell. A last row times warm Runner::run end to end for
+// bcast/bine on a 1,024-rank LUMI machine (the TunedRunner and tuned-dispatch
+// miss path). The exit code gates parity. Emits BENCH_sim.json.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -20,7 +23,9 @@
 
 #include "coll/registry.hpp"
 #include "fault/fault.hpp"
+#include "harness/runner.hpp"
 #include "net/pair_route_memo.hpp"
+#include "net/profiles.hpp"
 #include "net/route_cache.hpp"
 #include "net/simulate.hpp"
 #include "net/topology.hpp"
@@ -56,8 +61,8 @@ double time_call(double budget, Body&& body) {
 struct Report {
   size_t cells = 0;
   i64 num_links = 0;
-  double naive_rate = 0;       ///< reference engine, schedules/sec
-  double production_rate = 0;  ///< production engine, schedules/sec
+  double naive_rate = 0;       ///< reference engine, single queries/sec
+  double production_rate = 0;  ///< production engine 1x1, single queries/sec
   double speedup = 0;
   double max_rel_err = 0;
   bool parity = true;
@@ -119,6 +124,20 @@ Report bench_topology(const net::Topology& topo, const net::CostParams& cp,
   return rep;
 }
 
+/// Warm single-query Runner::run latency in microseconds: schedule cache,
+/// route table and route memo are built by an untimed first call.
+double runner_run_us(sched::Collective coll, const char* algorithm, i64 nodes,
+                     i64 size_bytes) {
+  harness::Runner runner(net::lumi_profile());
+  const auto& entry = coll::find_algorithm(coll, algorithm);
+  double checksum = runner.run(coll, entry, nodes, size_bytes).seconds;
+  const double t = time_call(0.05, [&] {
+    checksum += runner.run(coll, entry, nodes, size_bytes).seconds;
+  });
+  (void)checksum;
+  return 1e6 * t;
+}
+
 void print(const char* name, const Report& r) {
   std::printf("%-10s %5lld links %3zu cells  naive %10.1f/s  production %10.1f/s  "
               "%7.2fx  (parity rel err %.3g)\n",
@@ -140,6 +159,9 @@ int main() {
   const Report d = bench_topology(dragonfly, net::CostParams{}, sizes, 0.01);
   print("torus", t);
   print("dragonfly", d);
+  const double bcast_us =
+      runner_run_us(sched::Collective::bcast, "bine", 1024, i64{1} << 20);
+  std::printf("Runner::run bcast/bine p=1024 1 MiB (LUMI, warm): %.1f us\n", bcast_us);
 
   if (fault::AtomicFile out("BENCH_sim.json"); std::FILE* f = out.handle()) {
     std::fprintf(f,
@@ -148,21 +170,23 @@ int main() {
                  "  \"collective\": \"allreduce\",\n"
                  "  \"hardware_threads\": %u,\n"
                  "  \"torus_4x4x4_cells\": %zu,\n"
-                 "  \"torus_naive_schedules_per_sec\": %.1f,\n"
-                 "  \"torus_production_schedules_per_sec\": %.1f,\n"
+                 "  \"torus_naive_single_queries_per_sec\": %.1f,\n"
+                 "  \"torus_production_single_queries_per_sec\": %.1f,\n"
                  "  \"torus_speedup\": %.2f,\n"
                  "  \"dragonfly_num_links\": %lld,\n"
                  "  \"dragonfly_cells\": %zu,\n"
-                 "  \"dragonfly_naive_schedules_per_sec\": %.1f,\n"
-                 "  \"dragonfly_production_schedules_per_sec\": %.1f,\n"
+                 "  \"dragonfly_naive_single_queries_per_sec\": %.1f,\n"
+                 "  \"dragonfly_production_single_queries_per_sec\": %.1f,\n"
                  "  \"dragonfly_speedup\": %.2f,\n"
+                 "  \"runner_run_bcast_bine_p1024_1mib_us\": %.1f,\n"
                  "  \"parity_max_rel_err\": %.3g,\n"
                  "  \"parity\": %s\n"
                  "}\n",
                  std::thread::hardware_concurrency(), t.cells, t.naive_rate,
                  t.production_rate, t.speedup,
                  static_cast<long long>(d.num_links), d.cells, d.naive_rate,
-                 d.production_rate, d.speedup, std::max(t.max_rel_err, d.max_rel_err),
+                 d.production_rate, d.speedup, bcast_us,
+                 std::max(t.max_rel_err, d.max_rel_err),
                  t.parity && d.parity ? "true" : "false");
     if (out.commit()) std::printf("wrote BENCH_sim.json\n");
   }

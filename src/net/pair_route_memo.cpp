@@ -58,22 +58,58 @@ void PairRouteMemo::resolve(const RouteCache& rc, std::span<const size_t> pair_k
   out.route_len.resize(n);
   out.hops.resize(n);
   out.crosses_global.resize(n);
-  out.route_slots.clear();
 
-  // Pass 1 (shared): note which pairs the scope lacks. The common steady
-  // state -- every pair known -- ends here with zero writer contention.
-  size_t missing = 0;
-  {
+  // Copy every row into the caller's scratch under a shared lock,
+  // renumbering scope slots to call-local first-touch slots on the way. A
+  // scope grows with every cell that shares it, so copying its whole slot
+  // table would make a small call pay for the largest cell seen. Returns
+  // false, with local_of_scope restored, at the first pair the scope lacks.
+  const auto copy_rows = [&] {
     std::shared_lock lock(scope.mutex);
-    for (const size_t key : pair_keys)
-      if (scope.row_of_pair[key] == kNone) ++missing;
+    out.route_slots.clear();
+    out.slot_link.clear();
+    if (out.local_of_scope.size() < scope.slot_link.size())
+      out.local_of_scope.resize(scope.slot_link.size(), kNone);
+    bool complete = true;
+    for (size_t i = 0; i < n; ++i) {
+      const std::uint32_t row = scope.row_of_pair[pair_keys[i]];
+      if (row == kNone) {
+        complete = false;
+        break;
+      }
+      const std::uint32_t off = scope.row_off[row];
+      const std::uint32_t len = scope.row_len[row];
+      out.route_off[i] = static_cast<std::uint32_t>(out.route_slots.size());
+      out.route_len[i] = len;
+      for (std::uint32_t u = off; u < off + len; ++u) {
+        const std::uint32_t v = scope.row_slots[u];
+        std::uint32_t& local = out.local_of_scope[v];
+        if (local == kNone) {
+          local = static_cast<std::uint32_t>(out.slot_link.size());
+          out.slot_link.push_back(scope.slot_link[v]);
+        }
+        out.route_slots.push_back(local);
+      }
+      out.hops[i] = scope.row_hops[row];
+      out.crosses_global[i] = scope.row_global[row];
+    }
+    // Restore local_of_scope's all-unassigned invariant for the next call.
+    for (const i64 link : out.slot_link)
+      out.local_of_scope[scope.slot_of_link[static_cast<size_t>(link)]] = kNone;
+    return complete;
+  };
+
+  // The common steady state -- every pair known -- ends after one shared
+  // pass with zero writer contention.
+  if (copy_rows()) {
+    hits_.fetch_add(n, std::memory_order_relaxed);
+    return;
   }
 
-  // Pass 2 (exclusive, only when needed): walk and append the unknown pairs.
-  // Re-check under the writer lock -- another resolver may have inserted
-  // them between passes.
-  if (missing > 0) {
-    u64 inserted = 0, added_bytes = 0;
+  // Walk and append the unknown pairs under the writer lock, re-checking
+  // each: another resolver may have inserted it since the shared pass.
+  u64 inserted = 0, added_bytes = 0;
+  {
     std::unique_lock lock(scope.mutex);
     for (const size_t key : pair_keys) {
       if (scope.row_of_pair[key] != kNone) continue;
@@ -99,31 +135,13 @@ void PairRouteMemo::resolve(const RouteCache& rc, std::span<const size_t> pair_k
       added_bytes += path.size() * sizeof(std::uint32_t) + 2 * sizeof(std::uint32_t) +
                      sizeof(RouteCache::ClassHops) + 1;
     }
-    misses_.fetch_add(inserted, std::memory_order_relaxed);
-    bytes_.fetch_add(added_bytes, std::memory_order_relaxed);
-    // `missing` counted under the shared lock; pairs another thread inserted
-    // in between are hits after all.
-    missing = static_cast<size_t>(inserted);
   }
-  hits_.fetch_add(n - missing, std::memory_order_relaxed);
-
-  // Pass 3 (shared): copy every row -- and the slot table, which may have
-  // grown in pass 2 -- into the caller's scratch.
-  {
-    std::shared_lock lock(scope.mutex);
-    for (size_t i = 0; i < n; ++i) {
-      const std::uint32_t row = scope.row_of_pair[pair_keys[i]];
-      const std::uint32_t off = scope.row_off[row];
-      const std::uint32_t len = scope.row_len[row];
-      out.route_off[i] = static_cast<std::uint32_t>(out.route_slots.size());
-      out.route_len[i] = len;
-      out.route_slots.insert(out.route_slots.end(), scope.row_slots.begin() + off,
-                             scope.row_slots.begin() + off + len);
-      out.hops[i] = scope.row_hops[row];
-      out.crosses_global[i] = scope.row_global[row];
-    }
-    out.slot_link.assign(scope.slot_link.begin(), scope.slot_link.end());
-  }
+  misses_.fetch_add(inserted, std::memory_order_relaxed);
+  bytes_.fetch_add(added_bytes, std::memory_order_relaxed);
+  hits_.fetch_add(n - static_cast<size_t>(inserted), std::memory_order_relaxed);
+  // Rows are append-only, so every pair is known from here on.
+  [[maybe_unused]] const bool complete = copy_rows();
+  assert(complete);
 }
 
 PairRouteMemo::Stats PairRouteMemo::stats() const {

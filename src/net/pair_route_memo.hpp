@@ -36,9 +36,10 @@
 /// first-touch order, append-only) and per-pair rows: the pair's path as
 /// scope-slot ids (CSR), its per-class hop counts, and whether it crosses a
 /// global link. Callers copy rows out under a shared lock into call-local
-/// scratch (`Rows`) and remap scope slots to their own dense compact table;
-/// nothing retains pointers into the scope, so scopes never dangle and rows
-/// survive the RouteCache that seeded them. Slot *numbering* depends on
+/// scratch (`Rows`), renumbered to a dense call-local slot table as they are
+/// copied, so a call pays for the slots its pairs touch, never for the whole
+/// scope; nothing retains pointers into the scope, so scopes never dangle and
+/// rows survive the RouteCache that seeded them. Slot *numbering* depends on
 /// insertion order and is therefore thread-schedule-dependent -- harmless,
 /// because the simulator's per-step link reduction is a max over
 /// non-negative finite terms (order-independent bitwise) and byte
@@ -48,16 +49,19 @@ namespace bine::net {
 class PairRouteMemo {
  public:
   /// Call-local copy of the resolved rows for one pair list, in list order.
-  /// Slot ids are *scope* slots: dense in [0, num_scope_slots) but sparse for
-  /// any one call (other cells' pairs own the gaps); `slot_link` maps them
-  /// back to link ids for bandwidth lookups.
+  /// Slot ids are call-local: dense in [0, num_slots()) in first-touch order
+  /// over the list; `slot_link` maps them back to link ids for bandwidth
+  /// lookups.
   struct Rows {
     std::vector<std::uint32_t> route_off, route_len;  ///< per pair, CSR
-    std::vector<std::uint32_t> route_slots;           ///< scope-slot ids
+    std::vector<std::uint32_t> route_slots;           ///< call-local slot ids
     std::vector<RouteCache::ClassHops> hops;          ///< per pair
     std::vector<std::uint8_t> crosses_global;         ///< per pair
-    std::vector<i64> slot_link;  ///< scope slot -> link id (full table copy)
-    [[nodiscard]] size_t num_scope_slots() const noexcept { return slot_link.size(); }
+    std::vector<i64> slot_link;  ///< call-local slot -> link id
+    /// Scope slot -> call-local slot while a resolve copies rows out;
+    /// all-unassigned between calls.
+    std::vector<std::uint32_t> local_of_scope;
+    [[nodiscard]] size_t num_slots() const noexcept { return slot_link.size(); }
   };
 
   /// Resolve rows for `pair_keys` (ordered-pair keys `src * p + dst`,

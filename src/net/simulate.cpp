@@ -130,14 +130,10 @@ struct CandScratch {
   std::vector<std::uint32_t> pair_index;   // rank*p + peer -> union pair id
   std::vector<size_t> pair_keys;           // union pairs, first-touch order
   std::vector<i64> rowvals;                // evaluated rows, current candidate
-  PairRouteMemo::Rows rows;                // resolved rows, scope-slot ids
+  PairRouteMemo::Rows rows;                // resolved rows, call-local slots
   std::vector<std::uint32_t> slot_of_link; // memo-less direct resolution only
-  std::vector<std::uint32_t> slot_map;     // scope slot -> provisional local slot
-  std::vector<std::uint32_t> scope_used;   // distinct scope slots, first-touch
   std::vector<double> slot_inv_bw;         // per call-local slot
-  std::vector<std::uint32_t> pair_slots;   // union-pair CSR in call-local slots
   std::vector<double> pair_alpha;
-  std::vector<RouteCache::ClassHops> pair_hops;
   std::vector<std::uint32_t> cand_pids;    // per candidate: its union pids, flat
   std::vector<std::uint32_t> cslot_of;     // union local slot -> candidate slot
   std::vector<std::uint32_t> cslot_ids;    // candidate slots, first-touch order
@@ -146,6 +142,8 @@ struct CandScratch {
   std::vector<RouteCache::ClassHops> cpair_hops;
   std::vector<std::uint32_t> croute_slots; // candidate pair CSR, candidate slots
   std::vector<double> ib_c;                // per candidate slot, 1/bandwidth
+  std::vector<std::uint32_t> slot_step;    // candidate slot -> last step touched
+  std::vector<std::uint32_t> step_slot_off, step_slots;  // per-step touched CSR
   std::vector<i64> acc;
   std::vector<double> seconds;
   std::vector<i64> local_b, global_b, intra_b;
@@ -161,14 +159,14 @@ struct CandScratch {
     };
     shrink(rowvals);
     shrink(acc);
-    shrink(pair_slots);
     shrink(croute_slots);
+    shrink(step_slots);
     shrink(cand_pids);
     shrink(pair_index);
-    shrink(slot_map);
     shrink(slot_of_link);
     shrink(rows.route_slots);
     shrink(rows.slot_link);
+    shrink(rows.local_of_scope);
   }
 
   [[nodiscard]] size_t resident_bytes() const {
@@ -176,13 +174,13 @@ struct CandScratch {
     return cap(full_bytes) + cap(base) + cap(rem) + cap(pair_index) +
            cap(pair_keys) + cap(rowvals) + cap(rows.route_off) +
            cap(rows.route_len) + cap(rows.route_slots) + cap(rows.hops) +
-           cap(rows.crosses_global) + cap(rows.slot_link) + cap(slot_of_link) +
-           cap(slot_map) + cap(scope_used) + cap(slot_inv_bw) +
-           cap(pair_slots) + cap(pair_alpha) +
-           cap(pair_hops) + cap(cand_pids) + cap(cslot_of) +
+           cap(rows.crosses_global) + cap(rows.slot_link) +
+           cap(rows.local_of_scope) + cap(slot_of_link) + cap(slot_inv_bw) +
+           cap(pair_alpha) + cap(cand_pids) + cap(cslot_of) +
            cap(cslot_ids) + cap(cpair_route_off) + cap(cpair_route_len) +
            cap(cpair_alpha) + cap(cpair_hops) + cap(croute_slots) + cap(ib_c) +
-           cap(acc) + cap(seconds) + cap(local_b) + cap(global_b) + cap(intra_b);
+           cap(slot_step) + cap(step_slot_off) + cap(step_slots) + cap(acc) +
+           cap(seconds) + cap(local_b) + cap(global_b) + cap(intra_b);
   }
 };
 
@@ -204,6 +202,10 @@ struct CandStreamCtx {
   const RouteCache::ClassHops* pair_hops;
   size_t num_slots = 0;                ///< candidate slots (ever touched)
   const double* slot_inv_bw;           ///< per candidate slot
+  /// Per-step CSR of the candidate slots each step sends through, or null
+  /// for the dense reduce over all num_slots slots every step.
+  const std::uint32_t* step_slot_off = nullptr;
+  const std::uint32_t* step_slots = nullptr;
   const i64* full_bytes;  ///< per-size geometry, padded to the window grid
   const i64* base;
   const i64* rem;
@@ -251,6 +253,8 @@ void stream_candidate(const CandStreamCtx& cx, size_t off) {
   const RouteCache::ClassHops* const pair_hops = cx.pair_hops;
   const size_t num_slots = cx.num_slots;
   const double* const slot_inv_bw = cx.slot_inv_bw;
+  const std::uint32_t* const step_slot_off = cx.step_slot_off;
+  const std::uint32_t* const step_slots = cx.step_slots;
   const double seg_overhead = cx.seg_overhead;
   const double inv_reduce_bw = cx.inv_reduce_bw;
   const double inv_mem_bw = cx.inv_mem_bw;
@@ -354,19 +358,25 @@ const double c = static_cast<double>(o.extra) * seg_overhead;
     }
     for (size_t s = 0; s < W; ++s) max_ov[s] = std::max(max_ov[s], ov[s]);
 
-    // Dense max-reduce over the candidate's slot table: every slot this
-    // candidate ever sends through is scanned each step, sequentially and
-    // branch-free. That removes the per-visit touch bookkeeping from the
-    // send loop above and the gather through a touched list here. A slot
-    // idle this step holds 0, contributing +0.0 to a max over non-negative
-    // finite terms -- bitwise the same result as a touched-only reduce. The
-    // clear restores the tiles to zero for the next step.
-    for (size_t slot = 0; slot < num_slots; ++slot) {
+    // Max-reduce over the link tiles, clearing them for the next step. A
+    // slot idle this step holds 0, contributing +0.0 to a max over
+    // non-negative finite terms, so the dense scan of every slot the
+    // candidate ever sends through and the scan of only this step's
+    // precomputed touched slots give bitwise the same result. Dense is
+    // sequential and branch-free; the touched list wins when steps use a
+    // small share of the slots (a tree's early steps use a handful).
+    const auto reduce_slot = [&](size_t slot) {
       const double ib = slot_inv_bw[slot];
       i64* a = acc + slot * W;
       for (size_t s = 0; s < W; ++s)
         max_link[s] = std::max(max_link[s], static_cast<double>(a[s]) * ib);
       for (size_t s = 0; s < W; ++s) a[s] = 0;
+    };
+    if (step_slots != nullptr) {
+      for (std::uint32_t u = step_slot_off[t]; u < step_slot_off[t + 1]; ++u)
+        reduce_slot(step_slots[u]);
+    } else {
+      for (size_t slot = 0; slot < num_slots; ++slot) reduce_slot(slot);
     }
     for (size_t s = 0; s < W; ++s) sec[s] += max_link[s] + max_ov[s];
   }
@@ -433,6 +443,7 @@ struct CandCompiled {
   std::vector<std::uint32_t> cstep;  ///< steps+1 op offsets
   std::vector<RowSpec> rowspec;      ///< distinct byte rows, dedup'd by content
   std::vector<size_t> pair_keys;     ///< local pid -> rank*p + peer, first touch
+  std::vector<std::uint32_t> pair_sends;  ///< local pid -> sends on the pair
   i64 messages = 0;
 };
 
@@ -512,7 +523,9 @@ std::shared_ptr<const CandCompiled> compiled_for(const sched::SizeFreeSchedule& 
           if (pid == kNoPair) {
             pid = static_cast<std::uint32_t>(cc->pair_keys.size());
             cc->pair_keys.push_back(key);
+            cc->pair_sends.push_back(0);
           }
+          ++cc->pair_sends[pid];
           o.aux = pid;
           break;
         }
@@ -597,15 +610,20 @@ std::vector<std::vector<SimResult>> simulate_candidates(
   // folded into flags, byte rows dedup'd, pairs densely numbered) comes from
   // the schedule's cached CandCompiled -- built once per schedule process-
   // wide, so this loop only unions the pair keys: candidate-local pid k maps
-  // to union pid cand_pids[cp_off[c] + k]. pair_index entries stay assigned
-  // until the end of the call (all-kNoSlot invariant restored at the
-  // bottom); resizing down keeps the invariant (the dropped tail is
+  // to union pid cand_pids[cp_off[c] + k]. A lone candidate's pairs are
+  // already distinct, so it skips the p^2 union table: its scattered probes
+  // would dominate a single query. Otherwise pair_index entries stay
+  // assigned until the end of the call (all-kNoSlot invariant restored at
+  // the bottom); resizing down keeps the invariant (the dropped tail is
   // all-kNoSlot) while letting trim() release a huge cell's p^2 table once
   // small cells follow.
-  if (sc.pair_index.size() < np * np)
-    sc.pair_index.assign(np * np, kNoSlot);
-  else
-    sc.pair_index.resize(np * np);
+  const bool pooled = live > 1;
+  if (pooled) {
+    if (sc.pair_index.size() < np * np)
+      sc.pair_index.assign(np * np, kNoSlot);
+    else
+      sc.pair_index.resize(np * np);
+  }
   std::vector<std::shared_ptr<const CandCompiled>> comp(C);
   std::vector<size_t> cp_off(C + 1, 0);  // cand_pids segment per candidate
   sc.pair_keys.clear();
@@ -615,6 +633,11 @@ std::vector<std::vector<SimResult>> simulate_candidates(
     if (candidates[c] == nullptr) continue;
     comp[c] = compiled_for(*candidates[c]);
     for (const size_t key : comp[c]->pair_keys) {
+      if (!pooled) {
+        sc.cand_pids.push_back(static_cast<std::uint32_t>(sc.pair_keys.size()));
+        sc.pair_keys.push_back(key);
+        continue;
+      }
       std::uint32_t& pid = sc.pair_index[key];
       if (pid == kNoSlot) {
         pid = static_cast<std::uint32_t>(sc.pair_keys.size());
@@ -631,41 +654,23 @@ std::vector<std::vector<SimResult>> simulate_candidates(
   else
     resolve_pairs_direct(rc, sc.pair_keys, sc.slot_of_link, sc.rows);
 
-  // --- call-local compact slot table over the union ------------------------
-  // Scope slots are sparse for this call (and numbered by global insertion
-  // order); remap them to a dense first-touch table. Slot order is never
-  // observable: the per-step link reduction is a max over non-negative
-  // finite terms and byte sums are exact i64.
-  if (sc.slot_map.size() < sc.rows.num_scope_slots())
-    sc.slot_map.resize(sc.rows.num_scope_slots(), kNoSlot);
-  sc.scope_used.clear();
-  sc.slot_inv_bw.clear();
-  sc.pair_slots.resize(sc.rows.route_slots.size());
-  for (size_t u = 0; u < sc.rows.route_slots.size(); ++u) {
-    const std::uint32_t v = sc.rows.route_slots[u];
-    if (sc.slot_map[v] == kNoSlot) {
-      sc.slot_map[v] = static_cast<std::uint32_t>(sc.scope_used.size());
-      sc.scope_used.push_back(v);
-      sc.slot_inv_bw.push_back(
-          rc.inv_bandwidth()[static_cast<size_t>(sc.rows.slot_link[v])]);
-    }
-    sc.pair_slots[u] = sc.slot_map[v];
-  }
-  const size_t num_slots = sc.scope_used.size();
-  // Restore slot_map's all-kNoSlot invariant for the next call.
-  for (const std::uint32_t v : sc.scope_used) sc.slot_map[v] = kNoSlot;
+  // Both resolutions number slots densely per call, in first-touch order.
+  // Slot order is never observable: the per-step link reduction is a max
+  // over non-negative finite terms and byte sums are exact i64.
+  const size_t num_slots = sc.rows.num_slots();
+  sc.slot_inv_bw.resize(num_slots);
+  for (size_t v = 0; v < num_slots; ++v)
+    sc.slot_inv_bw[v] = rc.inv_bandwidth()[static_cast<size_t>(sc.rows.slot_link[v])];
 
   sc.pair_alpha.resize(sc.pair_keys.size());
-  sc.pair_hops.resize(sc.pair_keys.size());
-  for (size_t pid = 0; pid < sc.pair_keys.size(); ++pid) {
+  for (size_t pid = 0; pid < sc.pair_keys.size(); ++pid)
     sc.pair_alpha[pid] = sc.rows.crosses_global[pid] ? cp.alpha_global : cp.alpha_local;
-    sc.pair_hops[pid] = sc.rows.hops[pid];
-  }
 
-  // Candidate-slot remap table over the union's local slots; all-kNoSlot
-  // between candidates (reset through cslot_ids below). Growing with resize
-  // preserves the invariant for entries carried over from earlier calls.
-  if (sc.cslot_of.size() < num_slots) sc.cslot_of.resize(num_slots, kNoSlot);
+  // Candidate-slot remap table over the union's local slots (pools only);
+  // all-kNoSlot between candidates (reset through cslot_ids below). Growing
+  // with resize preserves the invariant for entries carried over from
+  // earlier calls.
+  if (pooled && sc.cslot_of.size() < num_slots) sc.cslot_of.resize(num_slots, kNoSlot);
 
   CandStreamCtx cx;
   cx.elem_size = elem_size;
@@ -698,37 +703,86 @@ std::vector<std::vector<SimResult>> simulate_candidates(
     // Cost is O(pairs x route length) -- pair counts are orders of magnitude
     // below op counts -- and it buys the stream a branch-free inner loop:
     // no touch bookkeeping per route visit, and a sequential max-reduce over
-    // exactly the slots this candidate can touch.
+    // exactly the slots this candidate can touch. A lone candidate's union
+    // tables already are its own, so it streams them as they are.
     const size_t npairs_c = cp_off[c + 1] - cp_off[c];
-    sc.cpair_route_off.resize(npairs_c);
-    sc.cpair_route_len.resize(npairs_c);
-    sc.cpair_alpha.resize(npairs_c);
-    sc.cpair_hops.resize(npairs_c);
-    sc.croute_slots.clear();
-    sc.cslot_ids.clear();
-    sc.ib_c.clear();
-    for (size_t k = 0; k < npairs_c; ++k) {
-      const std::uint32_t pid = sc.cand_pids[cp_off[c] + k];
-      sc.cpair_route_off[k] = static_cast<std::uint32_t>(sc.croute_slots.size());
-      sc.cpair_route_len[k] = sc.rows.route_len[pid];
-      sc.cpair_alpha[k] = sc.pair_alpha[pid];
-      sc.cpair_hops[k] = sc.pair_hops[pid];
-      const std::uint32_t u0 = sc.rows.route_off[pid];
-      for (std::uint32_t u = u0; u < u0 + sc.rows.route_len[pid]; ++u) {
-        const std::uint32_t us = sc.pair_slots[u];
-        std::uint32_t& cslot = sc.cslot_of[us];
-        if (cslot == kNoSlot) {
-          cslot = static_cast<std::uint32_t>(sc.cslot_ids.size());
-          sc.cslot_ids.push_back(us);
-          sc.ib_c.push_back(sc.slot_inv_bw[us]);
+    size_t n_c = num_slots;
+    cx.pair_route_off = sc.rows.route_off.data();
+    cx.pair_route_len = sc.rows.route_len.data();
+    cx.route_slots = sc.rows.route_slots.data();
+    cx.pair_alpha = sc.pair_alpha.data();
+    cx.pair_hops = sc.rows.hops.data();
+    cx.slot_inv_bw = sc.slot_inv_bw.data();
+    if (pooled) {
+      sc.cpair_route_off.resize(npairs_c);
+      sc.cpair_route_len.resize(npairs_c);
+      sc.cpair_alpha.resize(npairs_c);
+      sc.cpair_hops.resize(npairs_c);
+      sc.croute_slots.clear();
+      sc.cslot_ids.clear();
+      sc.ib_c.clear();
+      for (size_t k = 0; k < npairs_c; ++k) {
+        const std::uint32_t pid = sc.cand_pids[cp_off[c] + k];
+        sc.cpair_route_off[k] = static_cast<std::uint32_t>(sc.croute_slots.size());
+        sc.cpair_route_len[k] = sc.rows.route_len[pid];
+        sc.cpair_alpha[k] = sc.pair_alpha[pid];
+        sc.cpair_hops[k] = sc.rows.hops[pid];
+        const std::uint32_t u0 = sc.rows.route_off[pid];
+        for (std::uint32_t u = u0; u < u0 + sc.rows.route_len[pid]; ++u) {
+          const std::uint32_t us = sc.rows.route_slots[u];
+          std::uint32_t& cslot = sc.cslot_of[us];
+          if (cslot == kNoSlot) {
+            cslot = static_cast<std::uint32_t>(sc.cslot_ids.size());
+            sc.cslot_ids.push_back(us);
+            sc.ib_c.push_back(sc.slot_inv_bw[us]);
+          }
+          sc.croute_slots.push_back(cslot);
         }
-        sc.croute_slots.push_back(cslot);
       }
+      n_c = sc.cslot_ids.size();
+      // Restore cslot_of's all-kNoSlot invariant for the next candidate.
+      for (const std::uint32_t us : sc.cslot_ids) sc.cslot_of[us] = kNoSlot;
+      cx.pair_route_off = sc.cpair_route_off.data();
+      cx.pair_route_len = sc.cpair_route_len.data();
+      cx.route_slots = sc.croute_slots.data();
+      cx.pair_alpha = sc.cpair_alpha.data();
+      cx.pair_hops = sc.cpair_hops.data();
+      cx.slot_inv_bw = sc.ib_c.data();
     }
-    const size_t n_c = sc.cslot_ids.size();
-    // Restore cslot_of's all-kNoSlot invariant for the next candidate.
-    for (const std::uint32_t us : sc.cslot_ids) sc.cslot_of[us] = kNoSlot;
     sc.acc.assign(n_c * W, 0);  // accumulator tiles; each step clears its own
+
+    // Per-step touched-slot lists, built only when the sends' slot visits
+    // fall well below the dense reduce's steps x slots: one walk of the
+    // routes then replaces a scan of every slot in every window's step.
+    u64 visits = 0;
+    for (size_t k = 0; k < npairs_c; ++k)
+      visits += u64{comp[c]->pair_sends[k]} * cx.pair_route_len[k];
+    cx.step_slot_off = nullptr;
+    cx.step_slots = nullptr;
+    if (4 * visits < u64{sf.steps} * n_c) {
+      const COp* const cops = comp[c]->cops.data();
+      const std::uint32_t* const cstep = comp[c]->cstep.data();
+      sc.slot_step.assign(n_c, kNoSlot);
+      sc.step_slot_off.resize(sf.steps + 1);
+      sc.step_slots.clear();
+      for (size_t t = 0; t < sf.steps; ++t) {
+        sc.step_slot_off[t] = static_cast<std::uint32_t>(sc.step_slots.size());
+        for (std::uint32_t j = cstep[t]; j < cstep[t + 1]; ++j) {
+          if ((cops[j].flags & kCOpKind) != 0) continue;  // not a send
+          const std::uint32_t pid = cops[j].aux;
+          const std::uint32_t u0 = cx.pair_route_off[pid];
+          for (std::uint32_t u = u0; u < u0 + cx.pair_route_len[pid]; ++u) {
+            const std::uint32_t slot = cx.route_slots[u];
+            if (sc.slot_step[slot] == t) continue;
+            sc.slot_step[slot] = static_cast<std::uint32_t>(t);
+            sc.step_slots.push_back(slot);
+          }
+        }
+      }
+      sc.step_slot_off[sf.steps] = static_cast<std::uint32_t>(sc.step_slots.size());
+      cx.step_slot_off = sc.step_slot_off.data();
+      cx.step_slots = sc.step_slots.data();
+    }
 
     sc.seconds.resize(P);
     sc.local_b.resize(P);
@@ -742,13 +796,7 @@ std::vector<std::vector<SimResult>> simulate_candidates(
     cx.rowspec = comp[c]->rowspec.data();
     cx.nrows = static_cast<std::uint32_t>(nrows_c);
     cx.rows = sc.rowvals.data();
-    cx.pair_route_off = sc.cpair_route_off.data();
-    cx.pair_route_len = sc.cpair_route_len.data();
-    cx.route_slots = sc.croute_slots.data();
-    cx.pair_alpha = sc.cpair_alpha.data();
-    cx.pair_hops = sc.cpair_hops.data();
     cx.num_slots = n_c;
-    cx.slot_inv_bw = sc.ib_c.data();
     cx.acc = sc.acc.data();
     cx.full_bytes = sc.full_bytes.data();
     cx.base = sc.base.data();
@@ -779,7 +827,8 @@ std::vector<std::vector<SimResult>> simulate_candidates(
   }
 
   // Restore pair_index's all-kNoSlot invariant for the next call.
-  for (const size_t key : sc.pair_keys) sc.pair_index[key] = kNoSlot;
+  if (pooled)
+    for (const size_t key : sc.pair_keys) sc.pair_index[key] = kNoSlot;
   sc.trim();
   return results;
 }

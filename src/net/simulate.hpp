@@ -44,7 +44,8 @@ struct TrafficStats {
   [[nodiscard]] i64 total() const { return local_bytes + global_bytes + intra_node_bytes; }
 };
 
-/// Exact per-class byte counts of `sch` routed over `topo` under `pl`.
+/// Exact per-class byte counts of `sch` routed over `topo` under `pl`: the
+/// traffic of `simulate(sch, topo, pl, ...)`, so it throws as that does.
 [[nodiscard]] TrafficStats measure_traffic(const sched::Schedule& sch, const Topology& topo,
                                            const Placement& pl);
 

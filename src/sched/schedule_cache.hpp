@@ -53,11 +53,17 @@
 ///     parity-dependent segmentation) is caught unless it branches only
 ///     beyond the large probe.
 ///
-/// Demoted entries make callers (harness::Runner) fall back to fresh
-/// generation for that algorithm, one size at a time. For entries that
-/// pass, resolution at any size runs the *same* integer arithmetic
-/// `add_exchange` would, so cached and uncached paths are bit-exact -- which
-/// the parity tests assert.
+/// The two layers demote for different reasons, with different outcomes.
+/// An entry demoted for its *structure* makes callers (harness::Runner) fall
+/// back to fresh generation for that algorithm, one size at a time: each
+/// fresh schedule is byte-consistent on its own and simulates normally. An
+/// entry demoted for its *bytes* cannot be simulated at all -- the one
+/// engine resolves wire bytes from blocks -- so the Schedule-level
+/// net::simulate/net::measure_traffic and Runner's fresh-generation
+/// fallback throw std::logic_error naming the algorithm. No registry
+/// generator produces such a schedule. For entries that pass, resolution at
+/// any size runs the *same* integer arithmetic `add_exchange` would, so
+/// cached and uncached paths are bit-exact -- which the parity tests assert.
 namespace bine::sched {
 
 /// Size-independent compiled form of one schedule (see file comment).
@@ -67,7 +73,7 @@ struct SizeFreeSchedule {
   BlockSpace space = BlockSpace::per_vector;
   size_t steps = 0;
   /// False when build-time verification failed; the entry must not be
-  /// simulated or executed (callers fall back to fresh generation).
+  /// simulated or executed (see the file comment for what callers do).
   bool size_independent = true;
 
   /// CSR over the op arrays: ops of step t are [step_begin[t], step_begin[t+1]).

@@ -10,7 +10,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,27 @@
 #include "net/simulate.hpp"
 
 namespace bine::oracle {
+
+/// Unsets BINE_FAULT_SPEC for one test's scope and restores it on exit. The
+/// oracle models the healthy machine, but a gtest executable runs all its
+/// tests in one process: the tests after an oracle test must still run
+/// under whatever spec the environment set (the CI fault-injection job sets
+/// one for every test).
+class HealthyMachineScope {
+ public:
+  HealthyMachineScope() {
+    if (const char* spec = std::getenv("BINE_FAULT_SPEC")) saved_ = spec;
+    unsetenv("BINE_FAULT_SPEC");
+  }
+  ~HealthyMachineScope() {
+    if (saved_) setenv("BINE_FAULT_SPEC", saved_->c_str(), 1);
+  }
+  HealthyMachineScope(const HealthyMachineScope&) = delete;
+  HealthyMachineScope& operator=(const HealthyMachineScope&) = delete;
+
+ private:
+  std::optional<std::string> saved_;
+};
 
 /// The machine Runner(profile, /*spread_placement=*/false) builds for
 /// `nodes` on a healthy machine: the profile's topology, ranks on the first

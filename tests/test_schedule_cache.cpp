@@ -2,13 +2,15 @@
 // bit-identically to the size-free form of fresh generation at every vector
 // size, Runner cached-vs-uncached bit-exactness across all four topology
 // families, sweep output against the reference oracle and across thread
-// counts and cache modes, demotion of size-dependent schedules, and scoped
+// counts and cache modes, demotion of size-dependent schedules (and the
+// engine's refusal to simulate byte-inconsistent ones), and scoped
 // RouteCache equality with the eager build.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -103,6 +105,20 @@ TEST(SizeFreeSchedule, SizeDependentSchedulesAreDemoted) {
   sch.normalize_steps();
   EXPECT_FALSE(sched::SizeFreeSchedule::from(sch).size_independent);
 
+  // The engine resolves bytes from blocks, so the Schedule-level
+  // conveniences refuse such a schedule, naming it, instead of simulating
+  // bytes it cannot derive.
+  const net::Torus topo(std::vector<i64>{2}, 6.8e9);
+  const net::Placement pl = net::Placement::identity(2);
+  EXPECT_THROW((void)net::simulate(sch, topo, pl, net::CostParams{}), std::logic_error);
+  EXPECT_THROW((void)net::measure_traffic(sch, topo, pl), std::logic_error);
+  try {
+    (void)net::simulate(sch, topo, pl, net::CostParams{});
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("half_vector_local"), std::string::npos)
+        << e.what();
+  }
+
   // The full-vector pattern every generator actually uses stays cacheable.
   sched::Schedule ok = sch;
   ok.steps.assign(2, {});
@@ -110,6 +126,11 @@ TEST(SizeFreeSchedule, SizeDependentSchedulesAreDemoted) {
   ok.add_local(1, 0, ok.elem_count * ok.elem_size, 1);
   ok.normalize_steps();
   EXPECT_TRUE(sched::SizeFreeSchedule::from(ok).size_independent);
+  const net::SimResult got = net::simulate(ok, topo, pl, net::CostParams{});
+  const net::SimResult ref = net::simulate_reference(ok, topo, pl, net::CostParams{});
+  EXPECT_EQ(got.traffic.total(), ref.traffic.total());
+  EXPECT_EQ(got.traffic.messages, ref.traffic.messages);
+  EXPECT_NEAR(got.seconds, ref.seconds, ref.seconds * 1e-12);
 }
 
 // A generator whose *structure* (not just bytes) branches on elem_count is
@@ -199,7 +220,7 @@ TEST(ScheduleCache, CachedRunsMatchUncachedAcrossTopologyFamilies) {
 // every best-series row is the reference argmin (fresh generation +
 // net::simulate_reference per candidate).
 TEST(ScheduleCache, SweepIsByteIdenticalAcrossThreadsAndCacheModes) {
-  unsetenv("BINE_FAULT_SPEC");  // the reference oracle models the healthy machine
+  const oracle::HealthyMachineScope healthy;  // the oracle models the healthy machine
   const auto plan_for = [](bool use_cache, i64 threads) {
     exp::SweepPlan plan;
     plan.name = "determinism";

@@ -1,185 +1,96 @@
-// Size-batched simulation parity: net::simulate_sizes must be bit-identical
-// to the per-size compiled oracle (resolve_into + simulate) across the full
-// algorithm registry, all four topology families, ragged/non-pow2 rank
-// counts, and -- at the Runner level -- schedule cache on/off and sweep
-// worker counts {1, 4}. "Bit-identical" is literal: seconds compare by bit
-// pattern, not tolerance.
+// Runner-level size-axis batching: run_candidates must match a per-size
+// run() loop with the schedule cache on and off, and sweeps that hand whole
+// size axes to the engine must stay byte-identical across worker counts
+// {1, 4} x cache on/off. The engine-level whole-axis vs 1x1 parity lives in
+// test_sim_candidates.cpp. "Bit-identical" is literal: seconds compare by
+// bit pattern, not tolerance.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "coll/registry.hpp"
+#include "exp/paper_plans.hpp"
+#include "exp/sweep.hpp"
 #include "harness/runner.hpp"
 #include "net/profiles.hpp"
-#include "net/route_cache.hpp"
-#include "net/simulate.hpp"
-#include "net/topology.hpp"
-#include "sched/compiled.hpp"
-#include "sched/schedule_cache.hpp"
 
 using namespace bine;
 
-namespace {
-
-std::vector<std::unique_ptr<net::Topology>> four_families() {
-  std::vector<std::unique_ptr<net::Topology>> topos;
-  topos.push_back(std::make_unique<net::FatTree>(4, 8, 2, 25e9));
-  topos.push_back(std::make_unique<net::Dragonfly>(4, 8, 2, 25e9, 25e9));
-  topos.push_back(std::make_unique<net::Torus>(std::vector<i64>{4, 4, 2}, 6.8e9));
-  topos.push_back(std::make_unique<net::MultiGpu>(8, 4, 150e9, 25e9));
-  return topos;  // all 32 endpoints
-}
-
-/// Scrambles ranks over nodes so rank pair != node pair (multi-link routes).
-net::Placement scrambled_placement(i64 p, i64 nodes) {
-  net::Placement pl;
-  pl.node_of_rank.resize(static_cast<size_t>(p));
-  for (i64 r = 0; r < p; ++r)
-    pl.node_of_rank[static_cast<size_t>(r)] = (r * 13 + 5) % nodes;  // 13 coprime
-  return pl;
-}
-
-void expect_bitwise_eq(const net::SimResult& batched, const net::SimResult& oracle,
-                       const std::string& what) {
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(batched.seconds),
-            std::bit_cast<std::uint64_t>(oracle.seconds))
-      << what << " seconds " << batched.seconds << " vs " << oracle.seconds;
-  EXPECT_EQ(batched.traffic.local_bytes, oracle.traffic.local_bytes) << what;
-  EXPECT_EQ(batched.traffic.global_bytes, oracle.traffic.global_bytes) << what;
-  EXPECT_EQ(batched.traffic.intra_node_bytes, oracle.traffic.intra_node_bytes) << what;
-  EXPECT_EQ(batched.traffic.messages, oracle.traffic.messages) << what;
-  EXPECT_EQ(batched.steps, oracle.steps) << what;
-}
-
-}  // namespace
-
-// Full registry x 4 topology families x {ragged non-pow2, pow2} rank counts,
-// on a ragged size axis (non-pow2 counts included): one simulate_sizes call
-// vs the per-size resolve_into + simulate loop the Runner's scalar path runs.
-TEST(SimBatched, BitIdenticalToPerSizeOracleAcrossRegistry) {
-  const net::CostParams cp;  // defaults: distinct alpha/seg/bw knobs
-  const std::vector<i64> elem_counts = {8, 27, 64, 100, 512, 4096, 12345, 262144};
-  size_t checked = 0;
-  for (const auto& topo : four_families()) {
-    for (const i64 p : {i64{27}, i64{32}}) {  // ragged non-pow2 + pow2
-      const net::Placement pl = scrambled_placement(p, topo->num_nodes());
-      const net::RouteCache rc(*topo, pl);
-      for (const sched::Collective coll : coll::all_collectives()) {
-        for (const auto& algo : coll::algorithms_for(coll)) {
-          if (algo.pow2_only && !is_pow2(p)) continue;
-          coll::Config cfg;
-          cfg.p = p;
-          cfg.elem_size = 4;
-          cfg.elem_count = 4096;  // structure probe size; sizes vary below
-          auto sf = std::make_shared<const sched::SizeFreeSchedule>(
-              sched::SizeFreeSchedule::from(algo.make(cfg)));
-          if (!sf->size_independent) continue;  // demoted: no batched path
-          const auto batched = net::simulate_sizes(*sf, elem_counts, cfg.elem_size,
-                                                   rc, cp);
-          ASSERT_EQ(batched.size(), elem_counts.size());
-          sched::CompiledSchedule lowered;
-          for (size_t s = 0; s < elem_counts.size(); ++s) {
-            // Per-size oracle: the exact path Runner::run takes on a hit.
-            sched::SizeFreeSchedule::resolve_into(sf, elem_counts[s], cfg.elem_size,
-                                                  lowered);
-            const net::SimResult oracle = net::simulate(lowered, rc, cp);
-            expect_bitwise_eq(batched[s], oracle,
-                              topo->name() + "/" + to_string(coll) + "/" + algo.name +
-                                  " p=" + std::to_string(p) +
-                                  " n=" + std::to_string(elem_counts[s]));
-          }
-          ++checked;
-        }
-      }
-    }
-  }
-  EXPECT_GT(checked, 100u);  // the registry sweep actually ran
-}
-
-// Runner-level parity: run_sizes vs a run() loop, cache on and off (off
-// exercises the per-size fallback), over a torus profile at a ragged node
-// count that includes every registered algorithm.
-TEST(SimBatched, RunnerRunSizesMatchesRunLoop) {
+// Runner-level parity: run_candidates vs a per-size run() loop over the same
+// pool, schedule cache on and off (off generates every candidate fresh per
+// size), nullptr slots marking inapplicable candidates; the two cache modes
+// must agree bit-for-bit too.
+TEST(SimBatched, RunnerRunCandidatesMatchesRunLoop) {
   const std::vector<i64> sizes = {64, 1024, 12345, 65536, 1 << 20};
+  std::vector<std::vector<std::vector<harness::RunResult>>> by_mode;
   for (const bool cache_on : {true, false}) {
     harness::Runner runner(net::lumi_profile());
     runner.use_private_schedule_cache();
     runner.set_schedule_cache(cache_on);
+    by_mode.emplace_back();
     for (const sched::Collective coll : coll::all_collectives()) {
+      std::vector<const coll::AlgorithmEntry*> algos;
       for (const auto& algo : coll::algorithms_for(coll)) {
         if (algo.specialized) continue;
-        if (!runner.applicable(algo, 24)) continue;
-        const auto batched = runner.run_sizes(coll, algo, 24, sizes);
-        ASSERT_EQ(batched.size(), sizes.size());
+        algos.push_back(runner.applicable(algo, 24) ? &algo : nullptr);
+      }
+      const auto batched = runner.run_candidates(coll, algos, 24, sizes);
+      ASSERT_EQ(batched.size(), algos.size());
+      for (size_t k = 0; k < algos.size(); ++k) {
+        by_mode.back().push_back(batched[k]);
+        if (algos[k] == nullptr) {
+          EXPECT_TRUE(batched[k].empty());
+          continue;
+        }
+        ASSERT_EQ(batched[k].size(), sizes.size());
         for (size_t s = 0; s < sizes.size(); ++s) {
-          const harness::RunResult oracle = runner.run(coll, algo, 24, sizes[s]);
-          EXPECT_EQ(std::bit_cast<std::uint64_t>(batched[s].seconds),
+          const harness::RunResult oracle = runner.run(coll, *algos[k], 24, sizes[s]);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(batched[k][s].seconds),
                     std::bit_cast<std::uint64_t>(oracle.seconds))
-              << to_string(coll) << "/" << algo.name << " size=" << sizes[s]
+              << to_string(coll) << "/" << algos[k]->name << " size=" << sizes[s]
               << " cache=" << cache_on;
-          EXPECT_EQ(batched[s].global_bytes, oracle.global_bytes);
-          EXPECT_EQ(batched[s].total_bytes, oracle.total_bytes);
-          EXPECT_EQ(batched[s].messages, oracle.messages);
-          EXPECT_EQ(batched[s].steps, oracle.steps);
+          EXPECT_EQ(batched[k][s].global_bytes, oracle.global_bytes);
+          EXPECT_EQ(batched[k][s].total_bytes, oracle.total_bytes);
+          EXPECT_EQ(batched[k][s].messages, oracle.messages);
+          EXPECT_EQ(batched[k][s].steps, oracle.steps);
         }
       }
     }
   }
+  ASSERT_EQ(by_mode[0].size(), by_mode[1].size());
+  for (size_t i = 0; i < by_mode[0].size(); ++i) {
+    ASSERT_EQ(by_mode[0][i].size(), by_mode[1][i].size()) << "pool slot " << i;
+    for (size_t s = 0; s < by_mode[0][i].size(); ++s) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(by_mode[0][i][s].seconds),
+                std::bit_cast<std::uint64_t>(by_mode[1][i][s].seconds))
+          << "pool slot " << i << " size=" << sizes[s];
+      EXPECT_EQ(by_mode[0][i][s].total_bytes, by_mode[1][i][s].total_bytes);
+      EXPECT_EQ(by_mode[0][i][s].messages, by_mode[1][i][s].messages);
+    }
+  }
 }
 
-// The batched sweep grouping (one (coll, nodes) cell spanning the size axis)
-// must stay byte-identical across worker counts {1, 4} x cache on/off, and
-// agree with the per-query best_of selection it replaces.
+// Sweep grouping (one (coll, nodes) cell spanning the size axis, the bine /
+// binomial / sota series sharing one candidate pool) must stay
+// byte-identical across worker counts {1, 4} x cache on/off, at ragged node
+// counts.
 TEST(SimBatched, SweepDeterministicAcrossThreadsAndCache) {
-  std::vector<harness::SweepQuery> queries;
-  for (const sched::Collective coll :
-       {sched::Collective::allreduce, sched::Collective::bcast,
-        sched::Collective::allgather})
-    for (const i64 nodes : {i64{18}, i64{27}})
-      for (const i64 size : {i64{256}, i64{4096}, i64{65536}})
-        for (const auto kind : {harness::SweepQuery::Kind::bine,
-                                harness::SweepQuery::Kind::binomial,
-                                harness::SweepQuery::Kind::sota})
-          queries.push_back({coll, nodes, size, kind, false});
-
-  std::vector<std::vector<std::pair<std::string, harness::RunResult>>> all;
+  std::string reference;
   for (const bool cache_on : {true, false})
     for (const i64 threads : {i64{1}, i64{4}}) {
-      harness::Runner runner(net::lumi_profile());
-      runner.use_private_schedule_cache();
-      runner.set_schedule_cache(cache_on);
-      all.push_back(runner.sweep(queries, threads));
+      exp::SweepPlan plan = exp::paper::binomial_table(
+          net::lumi_profile(), {18, 27}, {256, 4096, 65536});
+      plan.colls = {sched::Collective::allreduce, sched::Collective::bcast,
+                    sched::Collective::allgather};
+      plan.series = {exp::Series::best_bine(false), exp::Series::best_binomial(),
+                     exp::Series::best_sota()};
+      plan.systems[0].schedule_cache = cache_on;
+      plan.threads = threads;
+      const std::string json = exp::run(plan).to_json();
+      if (reference.empty()) reference = json;
+      EXPECT_EQ(json, reference) << "cache=" << cache_on << " threads=" << threads;
     }
-  // Reference: per-query best_of on a fresh runner (the scalar per-size path).
-  harness::Runner ref(net::lumi_profile());
-  ref.use_private_schedule_cache();
-  std::vector<std::pair<std::string, harness::RunResult>> expect;
-  for (const auto& q : queries) {
-    switch (q.kind) {
-      case harness::SweepQuery::Kind::bine:
-        expect.push_back(ref.best_bine(q.coll, q.nodes, q.size_bytes, false));
-        break;
-      case harness::SweepQuery::Kind::binomial:
-        expect.push_back(ref.best_binomial(q.coll, q.nodes, q.size_bytes));
-        break;
-      case harness::SweepQuery::Kind::sota:
-        expect.push_back(
-            ref.best_of(q.coll, ref.sota_names(q.coll), q.nodes, q.size_bytes));
-        break;
-    }
-  }
-  for (const auto& got : all) {
-    ASSERT_EQ(got.size(), expect.size());
-    for (size_t i = 0; i < expect.size(); ++i) {
-      EXPECT_EQ(got[i].first, expect[i].first) << "query " << i;
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].second.seconds),
-                std::bit_cast<std::uint64_t>(expect[i].second.seconds))
-          << "query " << i;
-      EXPECT_EQ(got[i].second.messages, expect[i].second.messages) << "query " << i;
-      EXPECT_EQ(got[i].second.total_bytes, expect[i].second.total_bytes) << "query " << i;
-    }
-  }
 }

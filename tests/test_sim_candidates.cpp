@@ -2,12 +2,13 @@
 // PairRouteMemo, cold or warm -- against net::simulate_reference on the
 // schedule freshly generated at every size, across the full algorithm
 // registry, all four topology families, ragged/non-pow2 rank counts and a
-// ragged size axis. Runner-level, concurrent Runners sharing the
+// ragged size axis, and a whole-axis pooled call against the single-query
+// 1x1 calls Runner::run issues. Runner-level, concurrent Runners sharing the
 // process-wide route memo must agree bit-for-bit, and fault-epoch memo
-// scoping must never leak degraded rows into healthy runs. The size-axis
-// batching itself (whole axis vs per-size calls, run_candidates vs run(),
-// sweep determinism) is pinned in test_sim_batched.cpp. "Bit-identical" is literal: seconds
-// compare by bit pattern, not tolerance.
+// scoping must never leak degraded rows into healthy runs. Runner-level
+// batching (run_candidates vs run(), sweep determinism) is pinned in
+// test_sim_batched.cpp. "Bit-identical" is literal: seconds compare by bit
+// pattern, not tolerance.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -94,11 +95,12 @@ Pool registry_pool(sched::Collective coll, i64 p) {
 
 // Full registry x 4 topology families x {ragged non-pow2, pow2} rank counts
 // on a ragged size axis: one simulate_candidates call over the whole pool --
-// three ways (no memo, cold memo, warm memo), bit-identical to each other --
-// against the reference engine on the schedule generated fresh at each
-// size: traffic, messages and steps exact, seconds to 1e-12 relative. A null
-// pool slot must yield an empty result row without disturbing its
-// neighbours.
+// three ways (no memo, cold memo, warm memo), bit-identical to each other and
+// to a 1x1 call per (candidate, size) with and without the memo (the shape
+// Runner::run issues) -- against the reference engine on the schedule
+// generated fresh at each size: traffic, messages and steps exact, seconds
+// to 1e-12 relative. A null pool slot must yield an empty result row without
+// disturbing its neighbours.
 TEST(SimCandidates, MatchesReferenceOnFreshGenerationAcrossRegistry) {
   const net::CostParams cp;  // defaults: distinct alpha/seg/bw knobs
   const std::vector<i64> elem_counts = {8, 27, 64, 100, 512, 4096, 12345, 262144};
@@ -138,6 +140,15 @@ TEST(SimCandidates, MatchesReferenceOnFreshGenerationAcrossRegistry) {
             const std::string at = what + " n=" + std::to_string(elem_counts[s]);
             expect_bitwise_eq(cold[k][s], no_memo[k][s], at + " [cold]");
             expect_bitwise_eq(warm[k][s], no_memo[k][s], at + " [warm]");
+            const sched::SizeFreeSchedule* one[] = {pool.ptrs[k]};
+            const i64 n[] = {elem_counts[s]};
+            for (net::PairRouteMemo* m : {&memo, static_cast<net::PairRouteMemo*>(nullptr)}) {
+              const auto single = net::simulate_candidates(one, n, 4, rc, cp, m);
+              ASSERT_EQ(single.size(), 1u);
+              ASSERT_EQ(single[0].size(), 1u);
+              expect_bitwise_eq(single[0][0], no_memo[k][s],
+                                at + (m ? " [1x1 memo]" : " [1x1]"));
+            }
             coll::Config cfg;
             cfg.p = p;
             cfg.elem_size = 4;
@@ -292,11 +303,13 @@ TEST(SimCandidates, FaultEpochScopingNeverContaminatesHealthyRuns) {
   }
 }
 
-// Capacity-cap trim: one outsized cell (allgather/bruck at p=2048, whose
-// p^2 pair-index table alone exceeds the 8 MiB arena cap) may pin its scratch
-// while hot, but the next small cell on the same thread must release the
-// spike. The big cell routes through a scoped RouteCache over exactly the
-// schedule's send pairs, so the test never pays an eager 2048^2 route build.
+// Capacity-cap trim: one outsized cell (an allgather pool at p=2048, whose
+// p^2 pair-union table alone exceeds the 8 MiB arena cap) may pin its
+// scratch while hot, but the next small cell on the same thread must
+// release the spike. The pool needs two candidates: a lone candidate's pairs
+// are already distinct and skip the union table. The big cell routes
+// through a scoped RouteCache over exactly the schedules' send pairs, so the
+// test never pays an eager 2048^2 route build.
 TEST(SimCandidates, ScratchTrimReleasesOutsizedCell) {
   constexpr size_t kCapBytes = size_t{1} << 23;  // mirrors CandScratch::trim
   const net::CostParams cp;
@@ -310,23 +323,27 @@ TEST(SimCandidates, ScratchTrimReleasesOutsizedCell) {
   ASSERT_GT(static_cast<size_t>(p) * static_cast<size_t>(p) * sizeof(std::uint32_t),
             kCapBytes);
   const net::Placement big_pl = scrambled_placement(p, p);
-  const auto& bruck = coll::find_algorithm(sched::Collective::allgather, "bruck");
   coll::Config cfg;
   cfg.p = p;
   cfg.elem_size = 4;
   cfg.elem_count = 4096;
-  const auto big_sf = std::make_shared<const sched::SizeFreeSchedule>(
-      sched::SizeFreeSchedule::from(bruck.make(cfg)));
-  ASSERT_TRUE(big_sf->size_independent);
+  std::vector<std::shared_ptr<const sched::SizeFreeSchedule>> big_own;
+  std::vector<const sched::SizeFreeSchedule*> big_pool;
   std::vector<std::pair<Rank, Rank>> send_pairs;
-  for (size_t i = 0; i < big_sf->num_ops(); ++i)
-    if (big_sf->kind[i] == sched::OpKind::send)
-      send_pairs.emplace_back(big_sf->rank[i], big_sf->peer[i]);
+  for (const char* name : {"bruck", "recursive_doubling"}) {
+    big_own.push_back(std::make_shared<const sched::SizeFreeSchedule>(
+        sched::SizeFreeSchedule::from(
+            coll::find_algorithm(sched::Collective::allgather, name).make(cfg))));
+    const sched::SizeFreeSchedule& sf = *big_own.back();
+    ASSERT_TRUE(sf.size_independent) << name;
+    big_pool.push_back(&sf);
+    for (size_t i = 0; i < sf.num_ops(); ++i)
+      if (sf.kind[i] == sched::OpKind::send) send_pairs.emplace_back(sf.rank[i], sf.peer[i]);
+  }
   const net::RouteCache big_rc(big_topo, big_pl, send_pairs);
-  const sched::SizeFreeSchedule* big_pool[] = {big_sf.get()};
   const auto big_res =
       net::simulate_candidates(big_pool, elem_counts, 4, big_rc, cp, &memo);
-  ASSERT_EQ(big_res.size(), 1u);
+  ASSERT_EQ(big_res.size(), big_pool.size());
   ASSERT_EQ(big_res[0].size(), elem_counts.size());
   const size_t after_huge = net::candidate_scratch_resident_bytes();
   EXPECT_GT(after_huge, kCapBytes);  // hot scratch is kept while in use

@@ -82,7 +82,7 @@ void expect_rows_match_reference(const exp::SweepResult& result,
 // fresh generation + net::simulate_reference per candidate -- across shard
 // widths and cache modes.
 TEST(SweepEngine, GoldenParityBinomialTable) {
-  unsetenv("BINE_FAULT_SPEC");  // the reference oracle models the healthy machine
+  const oracle::HealthyMachineScope healthy;  // the oracle models the healthy machine
   harness::Runner names(net::lumi_profile());
   for (const bool cache : {true, false}) {
     for (const i64 threads : {i64{1}, i64{4}}) {
@@ -98,9 +98,27 @@ TEST(SweepEngine, GoldenParityBinomialTable) {
   }
 }
 
+// The oracle tests' guard hides an inherited fault spec for its scope only:
+// the later tests of this process must still run under it.
+TEST(SweepEngine, HealthyMachineScopeRestoresFaultSpec) {
+  const char* inherited = std::getenv("BINE_FAULT_SPEC");
+  const std::string saved = inherited ? inherited : "";
+  setenv("BINE_FAULT_SPEC", "seed=3,degrade_global=0.5", 1);
+  {
+    const oracle::HealthyMachineScope healthy;
+    EXPECT_EQ(std::getenv("BINE_FAULT_SPEC"), nullptr);
+  }
+  ASSERT_NE(std::getenv("BINE_FAULT_SPEC"), nullptr);
+  EXPECT_STREQ(std::getenv("BINE_FAULT_SPEC"), "seed=3,degrade_global=0.5");
+  if (inherited)
+    setenv("BINE_FAULT_SPEC", saved.c_str(), 1);
+  else
+    unsetenv("BINE_FAULT_SPEC");
+}
+
 // The heatmap/boxplot series (bine vs sota) against the reference oracle.
 TEST(SweepEngine, GoldenParitySotaSeries) {
-  unsetenv("BINE_FAULT_SPEC");  // the reference oracle models the healthy machine
+  const oracle::HealthyMachineScope healthy;  // the oracle models the healthy machine
   harness::Runner names(net::lumi_profile());
   exp::SweepPlan plan =
       exp::paper::sota_boxplots(net::lumi_profile(), kNodes, kSizes, kColls);
@@ -111,7 +129,7 @@ TEST(SweepEngine, GoldenParitySotaSeries) {
 // Explicit-list series (the fig11b/fig14/sec6 shape: singles + best-of) vs
 // direct Runner::run calls and the reference oracle, including the pow2 skip.
 TEST(SweepEngine, GoldenParityExplicitSeries) {
-  unsetenv("BINE_FAULT_SPEC");  // the reference oracle models the healthy machine
+  const oracle::HealthyMachineScope healthy;  // the oracle models the healthy machine
   exp::SweepPlan plan;
   plan.name = "golden_explicit";
   plan.systems = {exp::SystemSpec{net::mn5_profile()}};
