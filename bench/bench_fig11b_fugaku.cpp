@@ -4,10 +4,10 @@
 // torus Bine, and the topology-agnostic algorithms Fujitsu MPI would fall
 // back to.
 //
-// Plans: one explicit-series sweep per sub-torus (series = bine_torus_multiport /
-// bucket / best flat algorithm) plus exp::paper::sota_boxplots on the 8x8x8
-// shape -- the torus shape and identity placement live on the plan's
-// SystemSpec, not in driver loops.
+// Plans: exp::paper::torus_allreduce per sub-torus (series =
+// bine_torus_multiport / bucket / best flat algorithm) plus
+// exp::paper::sota_boxplots on the 8x8x8 shape -- the torus shape and
+// identity placement live on the plan's SystemSpec, not in driver loops.
 #include <algorithm>
 #include <cstdio>
 
@@ -17,35 +17,14 @@
 
 using namespace bine;
 
-namespace {
-
-exp::SweepPlan torus_plan(const std::vector<i64>& dims, i64 p) {
-  exp::SweepPlan plan;
-  plan.name = "fig11b_torus";
-  exp::SystemSpec spec;
-  spec.profile = net::fugaku_profile(dims);
-  spec.spread_placement = false;
-  spec.torus_dims = dims;
-  plan.systems = {std::move(spec)};
-  plan.colls = {sched::Collective::allreduce};
-  plan.series = {exp::Series::single("bine_torus_multiport"),
-                 exp::Series::single("bucket"),
-                 exp::Series::best_of("flat", {"recursive_doubling", "rabenseifner",
-                                              "ring"})};
-  plan.nodes.counts = {p};
-  plan.sizes = harness::paper_vector_sizes(false);
-  return plan;
-}
-
-}  // namespace
-
 int main() {
   std::printf("=== Fig. 11b: torus collectives on Fugaku-like sub-tori ===\n");
   const std::vector<std::vector<i64>> shapes = {{2, 2, 2}, {4, 4, 4}, {8, 8, 8}};
   for (const auto& dims : shapes) {
     i64 p = 1;
     for (const i64 d : dims) p *= d;
-    const exp::SweepResult result = exp::run(torus_plan(dims, p));
+    const exp::SweepResult result =
+        exp::run(exp::paper::torus_allreduce(dims, harness::paper_vector_sizes(false)));
     std::printf("\n--- %lldx%lldx%lld (%lld nodes) ---\n",
                 static_cast<long long>(dims[0]), static_cast<long long>(dims[1]),
                 static_cast<long long>(dims[2]), static_cast<long long>(p));

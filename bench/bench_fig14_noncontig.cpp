@@ -3,12 +3,12 @@
 // allgather on a LUMI-like system, per (nodes, vector size) cell, and its
 // gain over the standard recursive-doubling butterfly.
 //
-// Plan: one explicit-series sweep (best-of the four strategies + the
+// Plan: exp::paper::noncontig_allgather (best-of the four strategies + the
 // recursive-doubling baseline); the letter grid is formatted from the rows.
 #include <cstdio>
 #include <map>
 
-#include "exp/sweep.hpp"
+#include "exp/paper_plans.hpp"
 #include "net/profiles.hpp"
 
 using namespace bine;
@@ -20,23 +20,16 @@ int main() {
                                                {"bine_send", 'S'},
                                                {"bine_two_trans", 'T'}};
 
-  exp::SweepPlan plan;
-  plan.name = "fig14_noncontig";
-  plan.systems = {exp::SystemSpec{net::lumi_profile()}};
-  plan.colls = {sched::Collective::allgather};
-  plan.series = {exp::Series::best_of("strategy", {"bine_block", "bine_permute",
-                                                   "bine_send", "bine_two_trans"}),
-                 exp::Series::single("recursive_doubling")};
-  plan.nodes.counts = {8, 16, 32, 64, 128, 256, 512, 1024};
-  plan.sizes = harness::paper_vector_sizes(false);
-  const exp::SweepResult result = exp::run(plan);
+  const std::vector<i64> nodes = {8, 16, 32, 64, 128, 256, 512, 1024};
+  const exp::SweepResult result = exp::run(exp::paper::noncontig_allgather(
+      net::lumi_profile(), nodes, harness::paper_vector_sizes(false)));
 
   std::printf("%-10s", "");
-  for (const i64 n : plan.nodes.counts) std::printf(" %9lld", static_cast<long long>(n));
+  for (const i64 n : nodes) std::printf(" %9lld", static_cast<long long>(n));
   std::printf("\n");
   for (size_t si = 0; si < result.sizes.size(); ++si) {
     std::printf("%-10s", harness::size_label(result.sizes[si]).c_str());
-    for (size_t ni = 0; ni < plan.nodes.counts.size(); ++ni) {
+    for (size_t ni = 0; ni < nodes.size(); ++ni) {
       const exp::Metrics& best = result.at(0, 0, ni, si, 0);
       const exp::Metrics& baseline = result.at(0, 0, ni, si, 1);
       std::printf("  %c %5.2fx", letters.at(best.algorithm),

@@ -1,37 +1,29 @@
 // Sec. 6.2: hierarchical Bine allreduce vs an NCCL-like ring allreduce on a
 // multi-GPU cluster (4 GPUs per node, fast intra-node all-to-all links).
 //
-// Plan: two single-algorithm series over the GPU-count x size grid; the
-// identity placement (consecutive GPUs) lives on the plan's SystemSpec.
+// Plan: exp::paper::multigpu_allreduce, two single-algorithm series over the
+// GPU-count x size grid.
 #include <cstdio>
 
-#include "exp/sweep.hpp"
+#include "exp/paper_plans.hpp"
 #include "net/profiles.hpp"
 
 using namespace bine;
 
 int main() {
   std::printf("=== Sec. 6.2: multi-GPU allreduce, 4 GPUs/node ===\n");
-  exp::SweepPlan plan;
-  plan.name = "sec6_multigpu";
-  exp::SystemSpec spec;
-  spec.profile = net::multigpu_profile();
-  spec.spread_placement = false;
-  plan.systems = {std::move(spec)};
-  plan.colls = {sched::Collective::allreduce};
-  plan.series = {exp::Series::single("bine_hierarchical"), exp::Series::single("ring")};
-  plan.nodes.counts = {16, 64, 256, 512};
-  plan.sizes = {i64{1} << 22, i64{1} << 24, i64{1} << 26};  // >= 4 MiB
-  const exp::SweepResult result = exp::run(plan);
+  const std::vector<i64> nodes = {16, 64, 256, 512};
+  const exp::SweepResult result = exp::run(exp::paper::multigpu_allreduce(
+      nodes, {i64{1} << 22, i64{1} << 24, i64{1} << 26}));  // >= 4 MiB
 
   std::printf("%-8s %-10s %16s %16s %10s\n", "GPUs", "size", "bine_hier (s)",
               "nccl_ring (s)", "speedup");
-  for (size_t ni = 0; ni < plan.nodes.counts.size(); ++ni)
+  for (size_t ni = 0; ni < nodes.size(); ++ni)
     for (size_t si = 0; si < result.sizes.size(); ++si) {
       const exp::Metrics& hier = result.at(0, 0, ni, si, 0);
       const exp::Metrics& ring = result.at(0, 0, ni, si, 1);
       std::printf("%-8lld %-10s %16.6f %16.6f %9.2fx\n",
-                  static_cast<long long>(plan.nodes.counts[ni]),
+                  static_cast<long long>(nodes[ni]),
                   harness::size_label(result.sizes[si]).c_str(), hier.seconds,
                   ring.seconds, ring.seconds / hier.seconds);
     }

@@ -29,4 +29,20 @@ namespace bine::exp::paper {
                                       std::vector<i64> sizes,
                                       std::vector<Collective> colls);
 
+/// Fig. 11b: the multi-port torus Bine allreduce vs Bucket and the best flat
+/// algorithm on one Fugaku sub-torus of shape `dims` (identity placement,
+/// the torus shape on the SystemSpec).
+[[nodiscard]] SweepPlan torus_allreduce(std::vector<i64> dims, std::vector<i64> sizes);
+
+/// Fig. 14: the best of the Bine allgather's four non-contiguous-data
+/// strategies vs the recursive-doubling butterfly.
+[[nodiscard]] SweepPlan noncontig_allgather(net::SystemProfile profile,
+                                            std::vector<i64> node_counts,
+                                            std::vector<i64> sizes);
+
+/// Sec. 6.2: the hierarchical Bine allreduce vs an NCCL-like ring on the
+/// multi-GPU cluster (identity placement: consecutive GPUs share a node).
+[[nodiscard]] SweepPlan multigpu_allreduce(std::vector<i64> node_counts,
+                                           std::vector<i64> sizes);
+
 }  // namespace bine::exp::paper

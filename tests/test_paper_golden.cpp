@@ -1,7 +1,9 @@
 // Golden pin of the paper reproduction: the three paper plan builders
 // (binomial_table, sota_heatmap, sota_boxplots) run on LUMI, Leonardo,
-// MareNostrum 5 and a Fugaku sub-torus over a CI-sized axis, and the FNV-1a
-// digest of each SweepResult::to_json() must match tests/golden/
+// MareNostrum 5 and a Fugaku sub-torus over a CI-sized axis, plus the
+// explicit-series plans of the Fig. 11b, Fig. 14 and Sec. 6.2 drivers (the
+// torus, non-contiguous-strategy and hierarchical multi-GPU generators), and
+// the FNV-1a digest of each SweepResult::to_json() must match tests/golden/
 // paper_digests.txt. Any change to a simulated number, a winner, or the
 // artifact's formatting moves a digest.
 //
@@ -45,8 +47,7 @@ std::vector<System> systems() {
           {net::fugaku_profile({4, 4, 4}), false}};
 }
 
-std::string digest_line(exp::SweepPlan plan, bool spread_placement) {
-  plan.systems[0].spread_placement = spread_placement;
+std::string digest_line(exp::SweepPlan plan) {
   // At 24 nodes some collectives have no applicable candidate in a family
   // (pow2-only generators); those cells become error rows, pinned too.
   plan.on_error = exp::SweepPlan::OnError::isolate;
@@ -62,17 +63,24 @@ std::string actual_digests() {
   const std::vector<i64> sizes = harness::paper_vector_sizes(false);
   std::string out;
   for (const System& sys : systems()) {
-    out += digest_line(exp::paper::binomial_table(sys.profile, kNodes, sizes),
-                       sys.spread_placement);
-    out += digest_line(
-        exp::paper::sota_heatmap(sys.profile, Collective::allreduce, kNodes, sizes),
-        sys.spread_placement);
-    out += digest_line(exp::paper::sota_boxplots(sys.profile, kNodes, sizes,
-                                                 {Collective::allreduce,
-                                                  Collective::reduce_scatter,
-                                                  Collective::allgather}),
-                       sys.spread_placement);
+    const auto placed = [&](exp::SweepPlan plan) {
+      plan.systems[0].spread_placement = sys.spread_placement;
+      return plan;
+    };
+    out += digest_line(placed(exp::paper::binomial_table(sys.profile, kNodes, sizes)));
+    out += digest_line(placed(
+        exp::paper::sota_heatmap(sys.profile, Collective::allreduce, kNodes, sizes)));
+    out += digest_line(placed(exp::paper::sota_boxplots(
+        sys.profile, kNodes, sizes,
+        {Collective::allreduce, Collective::reduce_scatter, Collective::allgather})));
   }
+  // The drivers' explicit series, each on its own system: two Fugaku
+  // sub-tori, LUMI, and the multi-GPU cluster at the driver's sizes.
+  for (const std::vector<i64>& dims : {std::vector<i64>{2, 2, 2}, std::vector<i64>{4, 4, 4}})
+    out += digest_line(exp::paper::torus_allreduce(dims, sizes));
+  out += digest_line(exp::paper::noncontig_allgather(net::lumi_profile(), kNodes, sizes));
+  out += digest_line(exp::paper::multigpu_allreduce(
+      kNodes, {i64{1} << 22, i64{1} << 24, i64{1} << 26}));
   return out;
 }
 
