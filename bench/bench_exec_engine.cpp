@@ -1,11 +1,11 @@
 // Before/after benchmark of the compiled execution engine on a verify-heavy
-// allreduce sweep: the nested reference executor (per-op schedule walk,
+// allreduce sweep: the reference executor (per-op schedule walk,
 // per-message BlockSlot copies, one heap-allocated vector per block slot)
 // vs the compiled path (flat ExecPlan pulled from the schedule cache, dense
 // per-rank buffers, flat contributor bitsets -- runtime/compiled_executor.hpp).
 //
 // Plan: the compiled sweep is a Backend::execute_verified SweepPlan (one
-// single-algorithm series per applicable allreduce algorithm); the nested
+// single-algorithm series per applicable allreduce algorithm); the
 // reference loop is kept verbatim as the pre-engine oracle being timed
 // against. Also profiles the executor's threaded crossover -- the vector
 // size beyond which threads > 1 beats sequential -- and records it next to
@@ -73,7 +73,7 @@ std::vector<std::vector<std::uint32_t>> make_inputs(i64 p, i64 elems) {
 
 constexpr i64 kNodes = 64;
 
-/// The pre-engine behaviour: generate the nested schedule, walk it with the
+/// The pre-engine behaviour: generate the schedule, walk it with the
 /// reference executor, verify.
 bool run_sweep_reference(const std::vector<Cell>& cells) {
   bool all_ok = true;
@@ -260,7 +260,7 @@ int main() {
         break;
       }
 
-  std::printf("reference: %8.2f ms per sweep (nested walk + per-slot copies)\n",
+  std::printf("reference: %8.2f ms per sweep (op walk + per-slot copies)\n",
               1e3 * reference_time);
   std::printf("compiled:  %8.2f ms per sweep (cached ExecPlan + flat state)\n",
               1e3 * compiled_time);

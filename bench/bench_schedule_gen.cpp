@@ -1,28 +1,35 @@
-// Before/after benchmark of the schedule-generation fast path: every cell
-// regenerating its BlockSet-heavy schedule from scratch (the pre-cache
-// behaviour; generation dominates sweep wall time now that simulation is
-// compiled -- see BENCH_sim.json) vs the size-independent ScheduleCache +
-// arena-backed BlockSets, where one cached structure serves a whole
-// message-size sweep and each cell only resolves bytes and simulates.
+// Benchmark of the schedule-generation path, in two parts.
 //
-// Plan: the bine/binomial/sota best-variant series of one evaluation-table
-// column family -- six collectives x every power-of-two vector size from
-// 32 B to 1 GiB on a Torus(4x4x4) system -- run through exp::run on one
-// shard. The schedule-cache mode lives on the plan's SystemSpec (private
-// cache, so each timing round pays the per-(algorithm, p) miss once and
-// amortizes it across the 26 sizes, exactly as a real sweep does); the
-// timed artifact is the whole engine invocation. Emits BENCH_gen.json with
-// the speedup and the parity gate (cached rows must be bit-identical to
-// uncached rows).
+// 1. Memoization: every cell generating its schedule afresh (the schedule
+//    cache off: one unmemoized size-free entry per call) vs the ScheduleCache,
+//    where one generated structure serves a whole message-size sweep and
+//    each cell only resolves bytes and simulates. Plan: the
+//    bine/binomial/sota best-variant series of one evaluation-table column
+//    family -- six collectives x every power-of-two vector size from 32 B to
+//    1 GiB on a Torus(4x4x4) system -- run through exp::run on one shard.
+//    The cache mode lives on the plan's SystemSpec (private cache, so each
+//    timing round pays the per-(algorithm, p) miss once and amortizes it
+//    across the 26 sizes, exactly as a real sweep does); the timed artifact
+//    is the whole engine invocation. Gate: memoized rows must be
+//    bit-identical to unmemoized rows.
+// 2. p-scaling: ns per emitted exchange of generation + SizeFreeSchedule::from
+//    for the log-step generators at p = 64, 256, 1024 and 4096 (min of three
+//    rounds). Flat is linear; tests/test_gen_scaling.cpp gates the ratio.
+//
+// Emits BENCH_gen.json.
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "coll/registry.hpp"
 #include "exp/sweep.hpp"
 #include "fault/fault.hpp"
 #include "net/profiles.hpp"
+#include "sched/schedule_cache.hpp"
 
 using namespace bine;
 using Clock = std::chrono::steady_clock;
@@ -63,6 +70,34 @@ bool identical(const exp::SweepResult& a, const exp::SweepResult& b) {
   return a.to_json() == b.to_json();
 }
 
+/// Generation + size-free compile of the log-step generators at `p`: ns per
+/// emitted exchange over the whole set, best of three rounds.
+double ns_per_exchange(i64 p) {
+  const std::pair<sched::Collective, const char*> algos[] = {
+      {sched::Collective::bcast, "binomial"},
+      {sched::Collective::bcast, "bine"},
+      {sched::Collective::reduce, "bine"},
+      {sched::Collective::allreduce, "recursive_doubling"},
+      {sched::Collective::allreduce, "bine_small"},
+      {sched::Collective::allgather, "bruck"},
+  };
+  coll::Config cfg;
+  cfg.p = p;
+  cfg.elem_count = p;
+  double best = std::numeric_limits<double>::infinity();
+  for (int round = 0; round < 3; ++round) {
+    i64 exchanges = 0;
+    const auto t0 = Clock::now();
+    for (const auto& [coll, name] : algos) {
+      const sched::Schedule sch = coll::find_algorithm(coll, name).make(cfg);
+      for (const sched::Record& rec : sch.records()) exchanges += !rec.local();
+      if (sched::SizeFreeSchedule::from(sch).num_ops() == 0) std::abort();
+    }
+    best = std::min(best, seconds_since(t0) * 1e9 / static_cast<double>(exchanges));
+  }
+  return best;
+}
+
 }  // namespace
 
 int main() {
@@ -76,7 +111,7 @@ int main() {
   const exp::SweepResult cached_results = exp::run(build_plan(true));
   const bool parity = identical(uncached_results, cached_results);
   if (!parity) {
-    std::fprintf(stderr, "FAIL: cached sweep diverges from uncached sweep\n");
+    std::fprintf(stderr, "FAIL: memoized sweep diverges from unmemoized sweep\n");
     return 1;
   }
 
@@ -97,11 +132,23 @@ int main() {
   const double cached_time = time_mode(true);
   const double speedup = uncached_time / cached_time;
 
-  std::printf("uncached: %8.2f ms per sweep (fresh generation every cell)\n",
+  std::printf("uncached: %8.2f ms per sweep (generation every cell, no memo)\n",
               1e3 * uncached_time);
-  std::printf("cached:   %8.2f ms per sweep (arena + ScheduleCache)\n",
-              1e3 * cached_time);
+  std::printf("cached:   %8.2f ms per sweep (ScheduleCache)\n", 1e3 * cached_time);
   std::printf("speedup:  %8.2fx   (parity: bit-exact)\n", speedup);
+
+  const i64 scaling_ps[] = {64, 256, 1024, 4096};
+  std::string scaling_json;
+  std::printf("generate + compile, ns per exchange (log-step generators):");
+  for (const i64 p : scaling_ps) {
+    const double ns = ns_per_exchange(p);
+    std::printf("  p=%lld %.1f", static_cast<long long>(p), ns);
+    char entry[64];
+    std::snprintf(entry, sizeof(entry), "%s\"%lld\": %.1f", scaling_json.empty() ? "" : ", ",
+                  static_cast<long long>(p), ns);
+    scaling_json += entry;
+  }
+  std::printf("\n");
 
   if (fault::AtomicFile out("BENCH_gen.json"); std::FILE* f = out.handle()) {
     std::fprintf(f,
@@ -112,10 +159,11 @@ int main() {
                  "  \"uncached_sweep_ms\": %.3f,\n"
                  "  \"cached_sweep_ms\": %.3f,\n"
                  "  \"speedup\": %.2f,\n"
-                 "  \"parity_bit_exact\": %s\n"
+                 "  \"parity_bit_exact\": %s,\n"
+                 "  \"gen_ns_per_exchange_by_p\": {%s}\n"
                  "}\n",
                  num_queries, 1e3 * uncached_time, 1e3 * cached_time, speedup,
-                 parity ? "true" : "false");
+                 parity ? "true" : "false", scaling_json.c_str());
     if (out.commit()) std::printf("wrote BENCH_gen.json\n");
   }
   return 0;

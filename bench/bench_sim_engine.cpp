@@ -86,7 +86,6 @@ Report bench_topology(const net::Topology& topo, const net::CostParams& cp,
       cfg.elem_count = std::max<i64>(cfg.p, size / cfg.elem_size);
       const sched::Schedule sch = entry.make(cfg);
       const sched::SizeFreeSchedule sf = sched::SizeFreeSchedule::from(sch);
-      if (!sf.size_independent) continue;
       const sched::SizeFreeSchedule* pool[] = {&sf};
       const i64 elem_counts[] = {cfg.elem_count};
       const auto production = [&] {

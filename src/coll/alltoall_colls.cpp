@@ -49,7 +49,6 @@ Schedule alltoall_bruck(const Config& cfg) {
         held[static_cast<size_t>(q)][static_cast<size_t>(pmod(id % p - q, p))].push_back(id);
     }
   }
-  sch.normalize_steps();
   return sch;
 }
 
@@ -109,7 +108,6 @@ Schedule alltoall_bine(const Config& cfg) {
   for (Rank r = 0; r < p; ++r)
     for ([[maybe_unused]] const Parcel& par : held[static_cast<size_t>(r)])
       assert(par.route == 0 && par.id % p == r && "bine alltoall routing failed");
-  sch.normalize_steps();
   return sch;
 }
 
@@ -122,7 +120,6 @@ Schedule alltoall_pairwise(const Config& cfg) {
       sch.add_exchange(static_cast<size_t>(t - 1), r, q, BlockSet::single(r * cfg.p + q),
                        false);
     }
-  sch.normalize_steps();
   return sch;
 }
 
@@ -142,7 +139,6 @@ Schedule allgather_bruck(const Config& cfg) {
     }
     have += send_count;
   }
-  sch.normalize_steps();
   return sch;
 }
 

@@ -165,8 +165,6 @@ size_t emit_ag_steps(Schedule& sch, const Config& cfg, const Layout& lo,
   return step0 + static_cast<size_t>(lo.s);
 }
 
-i64 full_vector_bytes(const Config& cfg) { return cfg.elem_count * cfg.elem_size; }
-
 }  // namespace
 
 Schedule reduce_scatter_bine(const Config& cfg, NoncontigStrategy st) {
@@ -181,7 +179,7 @@ Schedule reduce_scatter_bine(const Config& cfg, NoncontigStrategy st) {
     sch.add_exchange(step, lo.P + i, i, BlockSet::all(cfg.p), true);
   if (lo.extra > 0) ++step;
   if (st == NoncontigStrategy::permute) {
-    for (Rank r = 0; r < lo.P; ++r) sch.add_local(step, r, full_vector_bytes(cfg), lo.P);
+    for (Rank r = 0; r < lo.P; ++r) sch.add_local(step, r, lo.P);
     ++step;
   }
   step = emit_rs_steps(sch, cfg, lo, st, step);
@@ -195,7 +193,6 @@ Schedule reduce_scatter_bine(const Config& cfg, NoncontigStrategy st) {
   }
   for (i64 i = 0; i < lo.extra; ++i)
     sch.add_exchange(step, i, lo.P + i, BlockSet::single(lo.P + i), false);
-  sch.normalize_steps();
   return sch;
 }
 
@@ -222,12 +219,11 @@ Schedule allgather_bine(const Config& cfg, NoncontigStrategy st) {
   }
   step = emit_ag_steps(sch, cfg, lo, st, step);
   if (st == NoncontigStrategy::permute) {
-    for (Rank r = 0; r < lo.P; ++r) sch.add_local(step, r, full_vector_bytes(cfg), lo.P);
+    for (Rank r = 0; r < lo.P; ++r) sch.add_local(step, r, lo.P);
     ++step;
   }
   for (i64 i = 0; i < lo.extra; ++i)
     sch.add_exchange(step, i, lo.P + i, BlockSet::all(cfg.p), false);
-  sch.normalize_steps();
   return sch;
 }
 
@@ -243,7 +239,7 @@ Schedule allreduce_bine_large(const Config& cfg, NoncontigStrategy st) {
     sch.add_exchange(step, lo.P + i, i, BlockSet::all(cfg.p), true);
   if (lo.extra > 0) ++step;
   if (st == NoncontigStrategy::permute) {
-    for (Rank r = 0; r < lo.P; ++r) sch.add_local(step, r, full_vector_bytes(cfg), lo.P);
+    for (Rank r = 0; r < lo.P; ++r) sch.add_local(step, r, lo.P);
     ++step;
   }
   // Reduce-scatter phase, then allgather phase. The Send strategy's aliasing
@@ -253,12 +249,11 @@ Schedule allreduce_bine_large(const Config& cfg, NoncontigStrategy st) {
   step = emit_rs_steps(sch, cfg, lo, st, step);
   step = emit_ag_steps(sch, cfg, lo, st, step);
   if (st == NoncontigStrategy::permute) {
-    for (Rank r = 0; r < lo.P; ++r) sch.add_local(step, r, full_vector_bytes(cfg), lo.P);
+    for (Rank r = 0; r < lo.P; ++r) sch.add_local(step, r, lo.P);
     ++step;
   }
   for (i64 i = 0; i < lo.extra; ++i)
     sch.add_exchange(step, i, lo.P + i, BlockSet::all(cfg.p), false);
-  sch.normalize_steps();
   return sch;
 }
 
@@ -276,7 +271,6 @@ Schedule allreduce_bine_small(const Config& cfg) {
                        BlockSet::all(cfg.p), true);
   for (i64 i = 0; i < lo.extra; ++i)
     sch.add_exchange(step, i, lo.P + i, BlockSet::all(cfg.p), false);
-  sch.normalize_steps();
   return sch;
 }
 
@@ -314,7 +308,6 @@ Schedule reduce_scatter_recursive_halving(const Config& cfg) {
   }
   for (i64 i = 0; i < lo.extra; ++i)
     sch.add_exchange(step, i, lo.P + i, BlockSet::single(lo.P + i), false);
-  sch.normalize_steps();
   return sch;
 }
 
@@ -332,7 +325,6 @@ Schedule allgather_recursive_doubling(const Config& cfg) {
                        dest_blocks(cube_range(r, j), lo.P, lo.extra, cfg.p, sch.arena()), false);
   for (i64 i = 0; i < lo.extra; ++i)
     sch.add_exchange(step, i, lo.P + i, BlockSet::all(cfg.p), false);
-  sch.normalize_steps();
   return sch;
 }
 
@@ -349,7 +341,6 @@ Schedule allreduce_recursive_doubling(const Config& cfg) {
       sch.add_exchange(step, r, r ^ (i64{1} << j), BlockSet::all(cfg.p), true);
   for (i64 i = 0; i < lo.extra; ++i)
     sch.add_exchange(step, i, lo.P + i, BlockSet::all(cfg.p), false);
-  sch.normalize_steps();
   return sch;
 }
 
@@ -375,7 +366,6 @@ Schedule allreduce_rabenseifner(const Config& cfg) {
                        dest_blocks(cube_range(r, j), lo.P, lo.extra, cfg.p, sch.arena()), false);
   for (i64 i = 0; i < lo.extra; ++i)
     sch.add_exchange(step, i, lo.P + i, BlockSet::all(cfg.p), false);
-  sch.normalize_steps();
   return sch;
 }
 

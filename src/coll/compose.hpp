@@ -16,16 +16,16 @@ namespace bine::coll {
   sched::Schedule out = a;
   out.coll = coll;
   out.algorithm = std::move(name);
-  // b's ops carry BlockSets pointing into b's arena; keep it alive.
+  // b's records carry BlockSets pointing into b's arena; keep it alive.
   out.retain_arena_of(b);
   const size_t offset = out.num_steps();
-  for (Rank r = 0; r < out.p; ++r) {
-    auto& dst = out.steps[static_cast<size_t>(r)];
-    const auto& src = b.steps[static_cast<size_t>(r)];
-    dst.resize(offset + src.size());
-    for (size_t t = 0; t < src.size(); ++t) dst[offset + t] = src[t];
+  for (const sched::Record& rec : b.records()) {
+    if (rec.local())
+      out.add_local(offset + rec.step, rec.from, rec.segments);
+    else
+      out.add_exchange(offset + rec.step, rec.from, rec.to, rec.blocks, rec.reduce,
+                       rec.segments);
   }
-  out.normalize_steps();
   return out;
 }
 

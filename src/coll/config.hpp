@@ -43,7 +43,7 @@ struct Config {
   return i64{1} << floor_log2(p);
 }
 
-/// Fresh schedule skeleton with per-rank step vectors allocated.
+/// Fresh, empty schedule for `cfg`.
 [[nodiscard]] inline sched::Schedule make_base(sched::Collective coll, const Config& cfg,
                                                std::string algorithm,
                                                sched::BlockSpace space) {
@@ -56,7 +56,6 @@ struct Config {
   s.elem_count = cfg.elem_count;
   s.elem_size = cfg.elem_size;
   s.root = cfg.root;
-  s.steps.assign(static_cast<size_t>(cfg.p), {});
   return s;
 }
 

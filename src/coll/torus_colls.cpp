@@ -230,7 +230,6 @@ Schedule torus_collective(const Config& cfg, Collective coll, const char* name,
     for (size_t d = st.dims.size(); d-- > 0;)
       step = ag_phase(sch, st, d, step, 0, 1, false);
   }
-  sch.normalize_steps();
   return sch;
 }
 
@@ -284,7 +283,6 @@ Schedule allreduce_torus_bine_multiport(const Config& cfg) {
     for (i64 d = D; d-- > 0;)
       step = bine_ag_phase(sch, st, static_cast<size_t>((c + d) % D), step, 0, 1, flip);
   }
-  sch.normalize_steps();
   return sch;
 }
 

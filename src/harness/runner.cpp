@@ -159,24 +159,23 @@ RunResult to_run_result(const net::SimResult& sim) {
 
 }  // namespace
 
-std::shared_ptr<const sched::SizeFreeSchedule> Runner::cached_entry(
+std::shared_ptr<const sched::SizeFreeSchedule> Runner::schedule_entry(
     Collective coll, const coll::AlgorithmEntry& algo, const coll::Config& cfg) {
-  if (!use_schedule_cache_) return nullptr;
+  // Memoization off: one unmemoized entry per call, run by the same engines.
+  if (!use_schedule_cache_)
+    return std::make_shared<const sched::SizeFreeSchedule>(
+        sched::SizeFreeSchedule::from(algo.make(cfg)));
   // Transparent view key: a hit performs no string/vector copies and takes
   // only a shared lock inside the cache. The fault epoch (spec fingerprint;
   // 0 = healthy) partitions the shared table so a changed fault model can
   // never be served entries cached under another machine state.
   const sched::ScheduleKeyView key(coll, algo.name, cfg.p, cfg.root, cfg.torus_dims,
                                    fault_ ? fault_->fingerprint() : 0);
-  auto entry = sched_cache_->get(key, [&](i64 canonical_elems) {
-    // Called at the cache's two canonical verification sizes on a miss.
+  return sched_cache_->get(key, [&](i64 elem_count) {
     coll::Config build_cfg = cfg;
-    build_cfg.elem_count = canonical_elems;
+    build_cfg.elem_count = elem_count;
     return algo.make(build_cfg);
   });
-  // Verification demoted this algorithm: callers use fresh generation.
-  if (!entry->size_independent) return nullptr;
-  return entry;
 }
 
 RunResult Runner::run(Collective coll, const coll::AlgorithmEntry& algo, i64 nodes,
@@ -196,9 +195,8 @@ std::vector<std::vector<RunResult>> Runner::run_candidates(
   for (size_t s = 0; s < sizes_bytes.size(); ++s)
     elem_counts[s] = cell_config(nodes, sizes_bytes[s]).elem_count;
 
-  // Partition the pool: candidates with a usable size-free entry join the
-  // single batched pass; the rest are simulated on their own. The entry
-  // handles outlive the batched call.
+  // Every candidate joins the single batched pass, except one whose fault
+  // demotion differs between sizes. The entry handles outlive the call.
   std::vector<std::shared_ptr<const sched::SizeFreeSchedule>> entries(algos.size());
   std::vector<const sched::SizeFreeSchedule*> batch(algos.size(), nullptr);
   bool any_batched = false;
@@ -216,18 +214,9 @@ std::vector<std::vector<RunResult>> Runner::run_candidates(
         out[k].push_back(run(coll, *algos[k], nodes, size));
       continue;
     }
-    entries[k] = cached_entry(coll, resolved, cfg);
-    if (entries[k]) {
-      batch[k] = entries[k].get();
-      any_batched = true;
-      continue;
-    }
-    // No usable entry (cache off, or demoted): fresh generation per size.
-    Sized& sized = sized_for(nodes);
-    for (const i64 size : sizes_bytes)
-      out[k].push_back(to_run_result(
-          net::simulate(resolved.make(cell_config(nodes, size)), *sized.routes,
-                        profile_.cost, &net::process_route_memo())));
+    entries[k] = schedule_entry(coll, resolved, cfg);
+    batch[k] = entries[k].get();
+    any_batched = true;
   }
   if (!any_batched) return out;
 
@@ -248,13 +237,9 @@ runtime::ExecPlan Runner::exec_plan(Collective coll, const coll::AlgorithmEntry&
                                     i64 elem_size) {
   const coll::Config cfg = cell_config(nodes, size_bytes, elem_size);
   const coll::AlgorithmEntry& algo = resolve_algorithm(coll, algo_in, cfg.p, size_bytes);
-  if (used_cache) *used_cache = false;
-  if (auto entry = cached_entry(coll, algo, cfg)) {
-    if (used_cache) *used_cache = true;
-    return runtime::ExecPlan::from_size_free(std::move(entry), coll, cfg.root,
-                                             cfg.elem_count, cfg.elem_size);
-  }
-  return runtime::ExecPlan::lower(algo.make(cfg));
+  if (used_cache) *used_cache = use_schedule_cache_;
+  return runtime::ExecPlan::from_size_free(schedule_entry(coll, algo, cfg), coll, cfg.root,
+                                           cfg.elem_count, cfg.elem_size);
 }
 
 namespace {

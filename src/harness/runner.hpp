@@ -52,8 +52,8 @@ struct VerifiedRun {
   i64 stage_bytes = 0;
   /// FNV-1a digest over the final execution state (validity bytes,
   /// contributor words, element bit patterns) plus the layout scalars.
-  /// Deterministic for any thread count and identical between the cached and
-  /// fresh plan paths; 0 until the run verified ok. Sweep outputs carry it so
+  /// Deterministic for any thread count and identical with the schedule
+  /// cache on or off; 0 until the run verified ok. Sweep outputs carry it so
   /// tuning/refinement stages can trust (and cross-check) verified cells.
   u64 digest = 0;
 };
@@ -110,12 +110,10 @@ class Runner {
   /// materialized once and every candidate streams through shared lane
   /// tiles. results[k][s] is bit-identical to
   /// run(coll, *algos[k], nodes, sizes_bytes[s]); algos[k] == nullptr marks
-  /// an inapplicable pool slot and yields an empty results[k]. A candidate
-  /// without a usable size-free entry (cache off, or entry demoted) is
-  /// generated fresh at each size and simulated as a 1x1 pool, which throws
-  /// std::logic_error naming the algorithm when that schedule's bytes do not
-  /// follow from its blocks. A candidate whose fault demotion differs
-  /// between sizes loops run().
+  /// an inapplicable pool slot and yields an empty results[k]. With the
+  /// schedule cache off every call builds unmemoized entries and runs the
+  /// same pass. A candidate whose fault demotion differs between sizes
+  /// loops run().
   [[nodiscard]] std::vector<std::vector<RunResult>> run_candidates(
       sched::Collective coll, std::span<const coll::AlgorithmEntry* const> algos,
       i64 nodes, std::span<const i64> sizes_bytes);
@@ -143,10 +141,10 @@ class Runner {
                                          runtime::ElemType elem = runtime::ElemType::u32,
                                          runtime::ReduceOp op = runtime::ReduceOp::sum);
 
-  /// Toggle the size-independent schedule cache (default: on, unless the
-  /// BINE_SCHED_CACHE environment variable is set to 0). The cached and
-  /// uncached paths are bit-exact; the toggle exists for benchmarking and
-  /// the parity suite.
+  /// Toggle schedule memoization (default: on, unless the BINE_SCHED_CACHE
+  /// environment variable is set to 0). Off, every call generates a fresh
+  /// entry and runs the same engines, so both modes are bit-exact; the
+  /// toggle exists for benchmarking and the parity suite.
   void set_schedule_cache(bool enabled) { use_schedule_cache_ = enabled; }
   [[nodiscard]] bool schedule_cache_enabled() const { return use_schedule_cache_; }
   [[nodiscard]] sched::ScheduleCache::Stats schedule_cache_stats() const {
@@ -189,7 +187,7 @@ class Runner {
   /// returned reference is stable (map nodes never move).
   Sized& sized_for(i64 nodes);
 
-  /// Simulation config for one cell (shared by cached and fresh paths).
+  /// Simulation config for one cell.
   /// `elem_size` defaults to the paper's 32-bit integers; the typed verified
   /// path passes the element type's width instead.
   [[nodiscard]] coll::Config cell_config(i64 nodes, i64 size_bytes,
@@ -200,9 +198,9 @@ class Runner {
                                               i64 nodes, i64 size_bytes, i64 threads,
                                               runtime::ReduceOp op);
 
-  /// Size-free entry for one cell, or nullptr when the cache is off or the
-  /// entry was demoted (callers fall back to fresh generation).
-  [[nodiscard]] std::shared_ptr<const sched::SizeFreeSchedule> cached_entry(
+  /// Size-free entry for one cell: the schedule cache's, or an unmemoized
+  /// one when the cache is off.
+  [[nodiscard]] std::shared_ptr<const sched::SizeFreeSchedule> schedule_entry(
       sched::Collective coll, const coll::AlgorithmEntry& algo, const coll::Config& cfg);
 
   /// Graceful-degradation resolution: `algo` itself on the healthy machine

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
-#include <string>
 #include <unordered_map>
 
 namespace bine::net {
@@ -14,24 +12,24 @@ TrafficStats measure_traffic_reference(const sched::Schedule& sch, const Topolog
                                        const Placement& pl) {
   TrafficStats stats;
   std::vector<i64> path;
-  for (Rank r = 0; r < sch.p; ++r) {
-    for (const auto& step : sch.steps[static_cast<size_t>(r)]) {
-      for (const sched::Op& op : step.ops) {
-        if (op.kind != sched::OpKind::send) continue;
+  sched::for_each_op_step_major(
+      sch,
+      [&](Rank r, const sched::Op& op) {
+        if (op.kind != sched::OpKind::send) return;
         ++stats.messages;
+        const i64 bytes = sch.bytes_of(op);
         path.clear();
         topo.route(pl.node_of_rank[static_cast<size_t>(r)],
                    pl.node_of_rank[static_cast<size_t>(op.peer)], path);
         for (const i64 link : path) {
           switch (topo.links()[static_cast<size_t>(link)].cls) {
-            case LinkClass::local: stats.local_bytes += op.bytes; break;
-            case LinkClass::global: stats.global_bytes += op.bytes; break;
-            case LinkClass::intra_node: stats.intra_node_bytes += op.bytes; break;
+            case LinkClass::local: stats.local_bytes += bytes; break;
+            case LinkClass::global: stats.global_bytes += bytes; break;
+            case LinkClass::intra_node: stats.intra_node_bytes += bytes; break;
           }
         }
-      }
-    }
-  }
+      },
+      [](size_t) {});
   return stats;
 }
 
@@ -44,15 +42,20 @@ SimResult simulate_reference(const sched::Schedule& sch, const Topology& topo,
   std::vector<i64> path;
   // Reused per step: link id -> accumulated bytes (sparse).
   std::unordered_map<i64, i64> link_bytes;
+  // Per-rank overhead of the current rank group, and the step's max of them.
+  double overhead = 0;
+  double max_rank_overhead = 0;
+  Rank current = -1;
 
-  for (size_t t = 0; t < result.steps; ++t) {
-    link_bytes.clear();
-    double max_rank_overhead = 0;
-    for (Rank r = 0; r < sch.p; ++r) {
-      const auto& rank_steps = sch.steps[static_cast<size_t>(r)];
-      if (t >= rank_steps.size()) continue;  // ragged rank: idle this step
-      double overhead = 0;
-      for (const sched::Op& op : rank_steps[t].ops) {
+  sched::for_each_op_step_major(
+      sch,
+      [&](Rank r, const sched::Op& op) {
+        if (r != current) {
+          max_rank_overhead = std::max(max_rank_overhead, overhead);
+          overhead = 0;
+          current = r;
+        }
+        const i64 bytes = sch.bytes_of(op);
         switch (op.kind) {
           case sched::OpKind::send: {
             path.clear();
@@ -60,7 +63,7 @@ SimResult simulate_reference(const sched::Schedule& sch, const Topology& topo,
                        pl.node_of_rank[static_cast<size_t>(op.peer)], path);
             bool crosses_global = false;
             for (const i64 link : path) {
-              link_bytes[link] += op.bytes;
+              link_bytes[link] += bytes;
               crosses_global |=
                   topo.links()[static_cast<size_t>(link)].cls == LinkClass::global;
             }
@@ -72,24 +75,28 @@ SimResult simulate_reference(const sched::Schedule& sch, const Topology& topo,
           case sched::OpKind::recv:
             break;  // latency accounted on the sender side
           case sched::OpKind::recv_reduce:
-            overhead += static_cast<double>(op.bytes) / cp.reduce_bandwidth;
+            overhead += static_cast<double>(bytes) / cp.reduce_bandwidth;
             break;
           case sched::OpKind::local_perm:
-            overhead += static_cast<double>(op.bytes) / cp.mem_bandwidth +
+            overhead += static_cast<double>(bytes) / cp.mem_bandwidth +
                         static_cast<double>(std::max<i64>(0, op.segments - 1)) *
                             cp.seg_overhead;
             break;
         }
-      }
-      max_rank_overhead = std::max(max_rank_overhead, overhead);
-    }
-    double max_link_time = 0;
-    for (const auto& [link, bytes] : link_bytes)
-      max_link_time =
-          std::max(max_link_time, static_cast<double>(bytes) /
-                                      topo.links()[static_cast<size_t>(link)].bandwidth);
-    result.seconds += max_link_time + max_rank_overhead;
-  }
+      },
+      [&](size_t) {
+        max_rank_overhead = std::max(max_rank_overhead, overhead);
+        double max_link_time = 0;
+        for (const auto& [link, bytes] : link_bytes)
+          max_link_time =
+              std::max(max_link_time, static_cast<double>(bytes) /
+                                          topo.links()[static_cast<size_t>(link)].bandwidth);
+        result.seconds += max_link_time + max_rank_overhead;
+        link_bytes.clear();
+        overhead = 0;
+        max_rank_overhead = 0;
+        current = -1;
+      });
   return result;
 }
 
@@ -263,7 +270,7 @@ void stream_candidate(const CandStreamCtx& cx, size_t off) {
   // decomposes exactly as C*(n/B) + R(n%B): C is the total covered block
   // count and R(rem) sums, over the *unwrapped* sub-runs [lo, hi) each range
   // splits into, the ids below rem: max(0, min(hi, rem) - lo). All-i64, so
-  // each row holds precisely the bytes fresh generation bakes at that size.
+  // each row holds precisely the bytes Schedule::bytes_of resolves at that size.
   const auto eval_row = [&](const RowSpec& o, i64* b) {
     if (o.kind == kRowFull) {
       for (size_t s = 0; s < W; ++s) b[s] = full_bytes[s];
@@ -588,7 +595,6 @@ std::vector<std::vector<SimResult>> simulate_candidates(
   size_t live = 0;
   for (const sched::SizeFreeSchedule* sf : candidates) {
     if (sf == nullptr) continue;
-    assert(sf->size_independent && "demoted entries must fall back to fresh generation");
     assert(sf->p == rc.num_ranks());
     ++live;
   }
@@ -842,44 +848,18 @@ size_t candidate_scratch_resident_bytes() {
 
 // --- Schedule-level conveniences -----------------------------------------------
 
-namespace {
-
-/// The size-free form of a freshly generated schedule; the engine resolves
-/// bytes from blocks, so a schedule whose baked bytes do not follow from
-/// its blocks cannot be simulated.
-sched::SizeFreeSchedule resolvable_form(const sched::Schedule& sch) {
-  sched::SizeFreeSchedule sf = sched::SizeFreeSchedule::from(sch);
-  if (!sf.size_independent)
-    throw std::logic_error(std::string("net::simulate: ") + to_string(sch.coll) + "/" +
-                           sch.algorithm +
-                           " has bytes that do not follow from its blocks");
-  return sf;
-}
-
-/// `sf` (the form of `sch`) as a 1x1 pool at the schedule's own size.
-SimResult simulate_form(const sched::SizeFreeSchedule& sf, const sched::Schedule& sch,
-                        const RouteCache& rc, const CostParams& cp, PairRouteMemo* memo) {
-  const sched::SizeFreeSchedule* pool[] = {&sf};
-  const i64 elem_counts[] = {sch.elem_count};
-  return simulate_candidates(pool, elem_counts, sch.elem_size, rc, cp, memo)[0][0];
-}
-
-}  // namespace
-
-SimResult simulate(const sched::Schedule& sch, const RouteCache& rc, const CostParams& cp,
-                   PairRouteMemo* memo) {
-  return simulate_form(resolvable_form(sch), sch, rc, cp, memo);
-}
-
 SimResult simulate(const sched::Schedule& sch, const Topology& topo, const Placement& pl,
                    const CostParams& cp) {
-  const sched::SizeFreeSchedule sf = resolvable_form(sch);
+  const sched::SizeFreeSchedule sf = sched::SizeFreeSchedule::from(sch);
   // Route only the pairs the schedule sends on: a schedule touches O(p log p)
   // of the p^2 pairs, which keeps one-off calls cheap at large rank counts.
   std::vector<std::pair<Rank, Rank>> pairs;
   for (size_t i = 0; i < sf.num_ops(); ++i)
     if (sf.kind[i] == sched::OpKind::send) pairs.emplace_back(sf.rank[i], sf.peer[i]);
-  return simulate_form(sf, sch, RouteCache(topo, pl, pairs), cp, nullptr);
+  const sched::SizeFreeSchedule* pool[] = {&sf};
+  const i64 elem_counts[] = {sch.elem_count};
+  return simulate_candidates(pool, elem_counts, sch.elem_size,
+                             RouteCache(topo, pl, pairs), cp, nullptr)[0][0];
 }
 
 TrafficStats measure_traffic(const sched::Schedule& sch, const Topology& topo,
@@ -889,13 +869,10 @@ TrafficStats measure_traffic(const sched::Schedule& sch, const Topology& topo,
 
 i64 inter_group_bytes(const sched::Schedule& sch, std::span<const i64> group_of_rank) {
   i64 total = 0;
-  for (Rank r = 0; r < sch.p; ++r)
-    for (const auto& step : sch.steps[static_cast<size_t>(r)])
-      for (const sched::Op& op : step.ops)
-        if (op.kind == sched::OpKind::send &&
-            group_of_rank[static_cast<size_t>(r)] !=
-                group_of_rank[static_cast<size_t>(op.peer)])
-          total += op.bytes;
+  for (const sched::Record& rec : sch.records())
+    if (!rec.local() && group_of_rank[static_cast<size_t>(rec.from)] !=
+                            group_of_rank[static_cast<size_t>(rec.to)])
+      total += sch.bytes_of(rec.blocks);
   return total;
 }
 

@@ -26,13 +26,15 @@
 ///     build and `harness::Runner::run` goes through it.
 ///   * The *reference* engine (`*_reference`) is the retained naive
 ///     implementation: per-op virtual routing and a per-step hash map over a
-///     freshly generated `Schedule`. It is the oracle the parity tests and
+///     freshly generated `Schedule`, walked in canonical op order
+///     (sched::for_each_op_step_major) with bytes resolved by
+///     `Schedule::bytes_of`. It is the oracle the parity tests and
 ///     `bench_sim_engine` compare against; don't use it in sweeps.
 ///
 /// The `Schedule`-taking `simulate`/`measure_traffic` overloads run one
 /// freshly generated schedule through the production engine as a 1x1 pool
-/// at the schedule's own size. DESIGN.md describes the pipeline (nested
-/// Schedule -> size-free IR -> engine), including the runtime executor's
+/// at the schedule's own size. DESIGN.md describes the pipeline (Schedule
+/// records -> size-free IR -> engine), including the runtime executor's
 /// sibling IR (runtime::ExecPlan).
 namespace bine::net {
 
@@ -45,7 +47,7 @@ struct TrafficStats {
 };
 
 /// Exact per-class byte counts of `sch` routed over `topo` under `pl`: the
-/// traffic of `simulate(sch, topo, pl, ...)`, so it throws as that does.
+/// traffic of `simulate(sch, topo, pl, ...)`.
 [[nodiscard]] TrafficStats measure_traffic(const sched::Schedule& sch, const Topology& topo,
                                            const Placement& pl);
 
@@ -74,16 +76,9 @@ struct SimResult {
 /// + max over ranks  (sum of message alphas + segment overheads
 ///                    + reduce bytes / reduce bw + permute bytes / mem bw).
 /// Total time is the sum over steps. Traffic stats fall out of the same pass.
-/// Routes only the pairs `sch` sends on (a scoped RouteCache). Throws
-/// std::logic_error naming the algorithm when `sch`'s bytes do not follow
-/// from its blocks (SizeFreeSchedule::from marks it not size_independent).
+/// Routes only the pairs `sch` sends on (a scoped RouteCache).
 [[nodiscard]] SimResult simulate(const sched::Schedule& sch, const Topology& topo,
                                  const Placement& pl, const CostParams& cp);
-
-/// The same over a prebuilt RouteCache, optionally through a route memo:
-/// the path harness::Runner takes for a candidate without a cached entry.
-[[nodiscard]] SimResult simulate(const sched::Schedule& sch, const RouteCache& rc,
-                                 const CostParams& cp, PairRouteMemo* memo = nullptr);
 
 /// The production engine: one structural pass per *cell* across a whole
 /// candidate pool AND the size axis. The union of every candidate's send
@@ -92,7 +87,7 @@ struct SimResult {
 /// null), one compact link table serves all candidates, and each candidate
 /// then streams through fixed-width lane tiles, one lane per size.
 ///
-/// Byte resolution is the exact all-i64 arithmetic fresh generation runs
+/// Byte resolution is the exact all-i64 arithmetic of Schedule::bytes_of
 /// (bytes_i(n) = C_i * (n / nblocks) + R_i(n % nblocks)), so traffic,
 /// messages and steps equal the reference engine's on the schedule
 /// generated at that size; seconds agree to within 1e-12 relative (the
@@ -101,8 +96,7 @@ struct SimResult {
 /// per-step link reduction is a max over non-negative finite terms, so
 /// neither pool composition, slot numbering nor memo state is observable.
 /// Null entries in `candidates` (inapplicable pool slots) yield empty
-/// result vectors. Every non-null candidate must be size_independent with p
-/// matching `rc`.
+/// result vectors. Every non-null candidate's p must match `rc`.
 [[nodiscard]] std::vector<std::vector<SimResult>> simulate_candidates(
     std::span<const sched::SizeFreeSchedule* const> candidates,
     std::span<const i64> elem_counts, i64 elem_size, const RouteCache& rc,

@@ -212,59 +212,17 @@ void ExecPlan::finalize_sizes() {
 }
 
 ExecPlan ExecPlan::lower(const sched::Schedule& s) {
-  if (!s.detail)
-    throw std::runtime_error("executor requires a detail-mode schedule");
   if (const std::string err = s.validate(); !err.empty())
     throw std::runtime_error("invalid schedule: " + err);
-
-  ExecPlan plan;
-  plan.coll = s.coll;
-  plan.space = s.space;
-  plan.p = s.p;
-  plan.nblocks = s.nblocks;
-  plan.elem_count = s.elem_count;
-  plan.elem_size = s.elem_size;
-  plan.root = s.root;
-  plan.steps = s.num_steps();
-  plan.own.step_begin.reserve(plan.steps + 1);
-  plan.own.step_begin.push_back(0);
-
-  std::vector<std::uint32_t> block_begin;
-  std::vector<i64> ids;
-  block_begin.push_back(0);
-  sched::for_each_op_step_major(
-      s, plan.steps,
-      [&](Rank r, const sched::Op& op) {
-        if (op.kind != sched::OpKind::recv && op.kind != sched::OpKind::recv_reduce)
-          return;
-        plan.own.to.push_back(static_cast<std::int32_t>(r));
-        plan.own.from.push_back(static_cast<std::int32_t>(op.peer));
-        plan.own.reduce.push_back(op.kind == sched::OpKind::recv_reduce ? 1 : 0);
-        plan.op_bytes.push_back(op.bytes);
-        for (const sched::BlockRange& br : op.blocks.ranges())
-          for (i64 k = 0; k < br.count; ++k)
-            ids.push_back(pmod(br.begin + k, s.nblocks));
-        block_begin.push_back(static_cast<std::uint32_t>(ids.size()));
-      },
-      [&](size_t) {
-        plan.own.step_begin.push_back(static_cast<std::uint32_t>(plan.own.to.size()));
-      });
-  plan.step_begin = plan.own.step_begin;
-  plan.to = plan.own.to;
-  plan.from = plan.own.from;
-  plan.reduce = plan.own.reduce;
-  plan.skeleton = std::make_shared<const ExecSkeleton>(
-      analyze_structure(plan.steps, plan.step_begin, plan.to, plan.from, plan.reduce,
-                        plan.p, plan.nblocks, std::move(block_begin), std::move(ids)));
-  plan.finalize_sizes();
-  return plan;
+  return from_size_free(
+      std::make_shared<const sched::SizeFreeSchedule>(sched::SizeFreeSchedule::from(s)),
+      s.coll, s.root, s.elem_count, s.elem_size);
 }
 
 ExecPlan ExecPlan::from_size_free(std::shared_ptr<const sched::SizeFreeSchedule> sf,
                                   sched::Collective coll, Rank root, i64 elem_count,
                                   i64 elem_size) {
-  if (!sf || !sf->size_independent)
-    throw std::runtime_error("entry failed verification; use fresh generation");
+  if (!sf) throw std::runtime_error("from_size_free: null schedule entry");
 
   ExecPlan plan;
   plan.coll = coll;
@@ -291,8 +249,7 @@ ExecPlan ExecPlan::from_size_free(std::shared_ptr<const sched::SizeFreeSchedule>
     const std::span<const sched::BlockRange> rs{
         sf->recv_ranges.data() + sf->recv_block_begin[i],
         sf->recv_ranges.data() + sf->recv_block_begin[i + 1]};
-    // The same arithmetic the generator's add_exchange baked the bytes with:
-    // from() verified they agree, so the cached plan is bit-exact with lower().
+    // The same arithmetic as Schedule::bytes_of.
     plan.op_bytes[i] = sched::ranges_elem_count(rs, n, sf->nblocks) * elem_size;
   }
   plan.keepalive = std::move(sf);

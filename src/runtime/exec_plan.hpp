@@ -13,11 +13,11 @@
 /// The executor's work is entirely delivery-driven: within a synchronized
 /// step every send reads the sender's *pre-step* state, so a message's
 /// payload is fully determined by (sender, block ids) -- all sends a rank
-/// issues in one step read identical state, and `Schedule::validate()`
-/// guarantees each send is matched by exactly one receive with the same
-/// block set. `ExecPlan` therefore keeps exactly one record per *delivery*
+/// issues in one step read identical state, and every exchange record of a
+/// sched::Schedule is one send matched by one receive of the same block set.
+/// `ExecPlan` therefore keeps exactly one record per *delivery*
 /// (receive-type op), in the canonical step-major / receiver-grouped order
-/// the nested reference executor applies them in:
+/// the reference executor applies them in:
 ///
 ///   * per delivery: receiving rank, sending rank, reduce flag, wire bytes,
 ///     and a CSR slice of expanded block ids;
@@ -30,24 +30,18 @@
 ///
 /// Columns split along the size axis: everything except byte/element
 /// arithmetic is a pure function of schedule *structure*, so those columns
-/// are exposed as read-only spans. On the
-/// `lower` path they point at the plan's own storage; on the
-/// `from_size_free` path the delivery stream aliases the cache entry's
-/// execution overlay directly and the derived structural columns alias an
-/// `ExecSkeleton` -- the finalized, size-free dataflow analysis (receiver
-/// runs, zero-copy direct marks, fused symmetric pairs, staging block
-/// offsets) built ONCE per entry and cached on it, so a cache hit pays only
-/// for the size-dependent columns (`op_bytes`, `block_off`, `elem_prefix`,
-/// `stage_elem_off`). Because spans may alias `own`, an ExecPlan is movable
-/// but not copyable.
+/// are exposed as read-only spans. The delivery stream aliases a
+/// sched::SizeFreeSchedule's execution overlay directly and the derived
+/// structural columns alias an `ExecSkeleton` -- the finalized, size-free
+/// dataflow analysis (receiver runs, zero-copy direct marks, fused
+/// symmetric pairs, staging block offsets) built ONCE per entry and cached
+/// on it, so a schedule-cache hit pays only for the size-dependent columns
+/// (`op_bytes`, `block_off`, `elem_prefix`, `stage_elem_off`). Because spans
+/// alias the entry, an ExecPlan is movable but not copyable.
 ///
-/// Built two ways, bit-identically (the parity tests assert it):
-///   * `lower(Schedule)` -- validate + flatten the nested representation
-///     (the uncached oracle-side path);
-///   * `from_size_free(entry, ...)` -- re-materialize from the execution
-///     overlay of a cached sched::SizeFreeSchedule, which is how
-///     harness::Runner's verify path skips generation entirely on a
-///     schedule-cache hit.
+/// One construction path, `from_size_free(entry, ...)`; `lower(Schedule)`
+/// validates a freshly generated schedule and runs it through
+/// SizeFreeSchedule::from into that path.
 namespace bine::runtime {
 
 /// The size-invariant finalized structure of one delivery stream: expanded
@@ -88,7 +82,7 @@ struct ExecPlan {
 
   // One record per delivery (recv or recv_reduce), step-major,
   // receiver-grouped, receiver op order preserved. Size-invariant: spans
-  // into `own` (lower) or the cache entry / its skeleton (from_size_free).
+  // into the schedule entry / its skeleton.
   std::span<const std::uint32_t> step_begin;    ///< steps+1 CSR over deliveries
   std::span<const std::int32_t> to;             ///< receiving rank
   std::span<const std::int32_t> from;           ///< sending rank
@@ -155,32 +149,22 @@ struct ExecPlan {
     return block_off[static_cast<size_t>(id) + 1] - block_off[static_cast<size_t>(id)];
   }
 
-  /// Validate `s` and flatten it. Throws std::runtime_error on coarse-mode
-  /// or structurally invalid schedules (the same contract execute_reference
-  /// enforces at run time).
+  /// Validate `s` (throwing std::runtime_error on out-of-range ranks or
+  /// blocks, as execute_reference does) and plan it through an unmemoized
+  /// size-free entry at its own vector config.
   [[nodiscard]] static ExecPlan lower(const sched::Schedule& s);
 
-  /// Re-materialize from a cached entry's execution overlay for a concrete
-  /// vector config. `sf` must be size_independent; `coll`/`root` come from
-  /// the cache key (the entry itself is keyed, not self-describing). The
-  /// plan aliases the entry's columns and cached skeleton, keeping both
-  /// alive through `keepalive`/`skeleton`.
+  /// Re-materialize from an entry's execution overlay for a concrete vector
+  /// config. `coll`/`root` come from the cache key (the entry itself is
+  /// keyed, not self-describing). The plan aliases the entry's columns and
+  /// cached skeleton, keeping both alive through `keepalive`/`skeleton`.
   [[nodiscard]] static ExecPlan from_size_free(
       std::shared_ptr<const sched::SizeFreeSchedule> sf, sched::Collective coll,
       Rank root, i64 elem_count, i64 elem_size);
 
-  /// Owned backing storage for the `lower` path's delivery stream
-  /// (`from_size_free` aliases the cache entry instead).
-  struct Storage {
-    std::vector<std::uint32_t> step_begin;
-    std::vector<std::int32_t> to;
-    std::vector<std::int32_t> from;
-    std::vector<std::uint8_t> reduce;
-  } own;
-  /// Structural columns' owner: `lower` builds a private skeleton,
-  /// `from_size_free` shares the entry's cached one.
+  /// Structural columns' owner: the entry's cached skeleton.
   std::shared_ptr<const ExecSkeleton> skeleton;
-  /// Keeps the cache entry alive while delivery spans alias it.
+  /// Keeps the entry alive while delivery spans alias it.
   std::shared_ptr<const void> keepalive;
 
  private:

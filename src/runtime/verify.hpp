@@ -175,7 +175,7 @@ std::string slot_diagnostic(Rank holder, i64 id, bool valid, std::span<const T> 
 
 }  // namespace detail
 
-/// Verify the final state of a nested reference execution against s.coll.
+/// Verify the final state of a reference execution against s.coll.
 template <typename T>
 std::string verify(const sched::Schedule& s, ReduceOp op,
                    std::span<const std::vector<T>> inputs, const ExecResult<T>& res) {

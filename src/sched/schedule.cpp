@@ -1,8 +1,7 @@
 #include "sched/schedule.hpp"
 
 #include <algorithm>
-#include <map>
-#include <sstream>
+#include <string>
 
 namespace bine::sched {
 
@@ -40,105 +39,78 @@ BlockSet blockset_from_ids(std::vector<i64> ids, i64 B, ScheduleArena& arena) {
 void Schedule::add_exchange(size_t step, Rank from, Rank to, BlockSet blocks, bool reduce,
                             i64 segments) {
   assert(from != to && from >= 0 && from < p && to >= 0 && to < p);
-  for (const Rank r : {from, to})
-    if (steps[static_cast<size_t>(r)].size() <= step)
-      steps[static_cast<size_t>(r)].resize(step + 1);
-  const i64 nbytes = bytes_of(blocks);
   const i64 segs =
       segments > 0 ? segments : std::max<i64>(1, blocks.memory_segments(nblocks));
-  Op send{OpKind::send, to, blocks, nbytes, segs};
-  Op recv{reduce ? OpKind::recv_reduce : OpKind::recv, from, std::move(blocks), nbytes, segs};
-  steps[static_cast<size_t>(from)][step].ops.push_back(std::move(send));
-  steps[static_cast<size_t>(to)][step].ops.push_back(std::move(recv));
+  records_.push_back(Record{static_cast<std::uint32_t>(step), static_cast<std::int32_t>(from),
+                            static_cast<std::int32_t>(to), static_cast<std::int32_t>(segs),
+                            reduce, std::move(blocks)});
+  steps_ = std::max(steps_, step + 1);
 }
 
-void Schedule::add_local(size_t step, Rank r, i64 bytes_moved, i64 segs) {
+void Schedule::add_local(size_t step, Rank r, i64 segs) {
   assert(r >= 0 && r < p);
-  if (steps[static_cast<size_t>(r)].size() <= step)
-    steps[static_cast<size_t>(r)].resize(step + 1);
-  steps[static_cast<size_t>(r)][step].ops.push_back(
-      Op{OpKind::local_perm, -1, {}, bytes_moved, segs});
-}
-
-void Schedule::normalize_steps() {
-  size_t max_steps = 0;
-  for (const auto& rank_steps : steps) max_steps = std::max(max_steps, rank_steps.size());
-  for (auto& rank_steps : steps) rank_steps.resize(max_steps);
+  records_.push_back(Record{static_cast<std::uint32_t>(step), static_cast<std::int32_t>(r),
+                            -1, static_cast<std::int32_t>(segs), false, {}});
+  steps_ = std::max(steps_, step + 1);
 }
 
 i64 Schedule::total_wire_bytes() const {
   i64 total = 0;
-  for (const auto& rank_steps : steps)
-    for (const RankStep& st : rank_steps)
-      for (const Op& op : st.ops)
-        if (op.kind == OpKind::send) total += op.bytes;
+  for (const Record& rec : records_)
+    if (!rec.local()) total += bytes_of(rec.blocks);
   return total;
 }
 
 std::string Schedule::validate() const {
-  std::ostringstream err;
-  if (static_cast<i64>(steps.size()) != p) return "steps.size() != p";
-  const size_t nsteps = num_steps();
-  for (const auto& rank_steps : steps)
-    if (rank_steps.size() != nsteps) return "ragged step counts; call normalize_steps()";
-
-  for (size_t t = 0; t < nsteps; ++t) {
-    // Pair up sends and receives within the step, keyed by (from, to). More
-    // than one message per pair per step is allowed (multi-port schedules);
-    // the k-th send matches the k-th recv in op order.
-    std::map<std::pair<Rank, Rank>, std::vector<const Op*>> sends, recvs;
-    for (Rank r = 0; r < p; ++r) {
-      for (const Op& op : steps[static_cast<size_t>(r)][t].ops) {
-        if (op.kind == OpKind::local_perm) continue;
-        if (op.peer < 0 || op.peer >= p || op.peer == r) {
-          err << "step " << t << " rank " << r << ": bad peer " << op.peer;
-          return err.str();
-        }
-        if (detail) {
-          for (const i64 b : op.blocks.expand(nblocks))
-            if (b < 0 || b >= nblocks) {
-              err << "step " << t << " rank " << r << ": block id " << b << " out of range";
-              return err.str();
-            }
-        }
-        auto& side = (op.kind == OpKind::send) ? sends : recvs;
-        const auto key = (op.kind == OpKind::send) ? std::make_pair(r, op.peer)
-                                                   : std::make_pair(op.peer, r);
-        side[key].push_back(&op);
-      }
-    }
-    if (sends.size() != recvs.size()) {
-      err << "step " << t << ": " << sends.size() << " send flows vs " << recvs.size()
-          << " recv flows";
-      return err.str();
-    }
-    for (const auto& [key, send_ops] : sends) {
-      const auto it = recvs.find(key);
-      if (it == recvs.end() || it->second.size() != send_ops.size()) {
-        err << "step " << t << ": unmatched messages " << key.first << "->" << key.second;
-        return err.str();
-      }
-      for (size_t k = 0; k < send_ops.size(); ++k) {
-        const Op* send_op = send_ops[k];
-        const Op* recv_op = it->second[k];
-        if (recv_op->bytes != send_op->bytes) {
-          err << "step " << t << ": byte mismatch on " << key.first << "->" << key.second;
-          return err.str();
-        }
-        if (detail) {
-          auto a = send_op->blocks.expand(nblocks);
-          auto b = recv_op->blocks.expand(nblocks);
-          std::sort(a.begin(), a.end());
-          std::sort(b.begin(), b.end());
-          if (a != b) {
-            err << "step " << t << ": block mismatch on " << key.first << "->" << key.second;
-            return err.str();
-          }
-        }
-      }
-    }
+  const auto at = [](const Record& rec) { return "step " + std::to_string(rec.step) + ": "; };
+  for (const Record& rec : records_) {
+    if (rec.from < 0 || rec.from >= p)
+      return at(rec) + "rank " + std::to_string(rec.from) + " out of range";
+    if (rec.local()) continue;
+    if (rec.to >= p || rec.to == rec.from)
+      return at(rec) + "bad peer " + std::to_string(rec.to) + " of rank " +
+             std::to_string(rec.from);
+    for (const BlockRange& br : rec.blocks.ranges())
+      if (br.begin < 0 || br.begin >= nblocks || br.count < 0 || br.count > nblocks)
+        return at(rec) + "block range {" + std::to_string(br.begin) + ", " +
+               std::to_string(br.count) + "} out of range";
   }
   return {};
+}
+
+OpOrder canonical_order(const Schedule& s) {
+  const std::span<const Record> recs = s.records();
+  // Pass 1: stable counting sort of the op refs by rank. Walking the
+  // records in call order keeps each rank's ops in call order; the step of
+  // each placed op rides along so pass 2 reads sequentially.
+  std::vector<std::uint32_t> pos(static_cast<size_t>(s.p) + 1, 0);
+  for (const Record& rec : recs) {
+    ++pos[static_cast<size_t>(rec.from) + 1];
+    if (!rec.local()) ++pos[static_cast<size_t>(rec.to) + 1];
+  }
+  for (size_t r = 1; r < pos.size(); ++r) pos[r] += pos[r - 1];
+  const size_t nops = pos.back();
+  std::vector<std::uint32_t> by_rank(nops), step_of(nops);
+  for (std::uint32_t i = 0; i < recs.size(); ++i) {
+    const Record& rec = recs[i];
+    const std::uint32_t at = pos[static_cast<size_t>(rec.from)]++;
+    by_rank[at] = 2 * i;
+    step_of[at] = rec.step;
+    if (rec.local()) continue;
+    const std::uint32_t to_at = pos[static_cast<size_t>(rec.to)]++;
+    by_rank[to_at] = 2 * i + 1;
+    step_of[to_at] = rec.step;
+  }
+  // Pass 2: stable counting sort by step.
+  OpOrder out;
+  out.step_begin.assign(s.num_steps() + 1, 0);
+  for (const std::uint32_t st : step_of) ++out.step_begin[st + 1];
+  for (size_t t = 1; t < out.step_begin.size(); ++t)
+    out.step_begin[t] += out.step_begin[t - 1];
+  pos.assign(out.step_begin.begin(), out.step_begin.end() - 1);
+  out.ref.resize(nops);
+  for (size_t k = 0; k < nops; ++k) out.ref[pos[step_of[k]]++] = by_rank[k];
+  return out;
 }
 
 }  // namespace bine::sched

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -13,29 +14,31 @@
 /// The schedule intermediate representation.
 ///
 /// Every collective algorithm in this library -- Bine or baseline -- is a
-/// *schedule generator*: a pure function producing, for each rank, a sequence
-/// of synchronized steps of send/recv/local operations over logical blocks.
-/// One schedule serves two consumers:
-///   * runtime::Executor runs it over real buffers and verifies semantics;
-///   * net::simulate lays it onto a topology model for traffic/time -- via
-///     sched::SizeFreeSchedule (schedule_cache.hpp), which flattens the
-///     nested representation below into size-free structure-of-arrays form.
-///     This type stays optimized for *generation* (per-rank append, BlockSet
-///     bookkeeping); the flat IR is what the hot loops consume.
+/// *schedule generator*: a pure function emitting synchronized steps of
+/// exchanges and local operations over logical blocks. The generator API is
+/// `coll::make_base` + `add_exchange` / `add_local` (+ `arena()` for large
+/// block sets, `coll::sequence` for composites).
 ///
-/// Size independence: the *structure* of every schedule -- steps, peers,
-/// block sets, segment counts -- is a pure function of (algorithm, p, root,
-/// torus_dims). `elem_count`/`elem_size` only scale the per-op byte counts,
-/// via `bytes_of`'s block arithmetic. sched::ScheduleCache (schedule_cache.hpp)
-/// exploits this invariant: one cached structure serves every message size of
-/// a sweep, with bytes re-resolved per size by the same arithmetic. Keep
-/// generators size-oblivious (never branch on elem_count): the cache
-/// cross-checks structure at two widely separated canonical sizes and
-/// demotes mismatches to the uncached path, but a branch that only triggers
-/// beyond the large probe (~256 MiB vectors) would defeat it.
+/// Storage is exchange-major: each generator call becomes ONE `Record`.
+/// An exchange `{step, from, to, blocks, reduce, segments}` implies both the
+/// sender's send and the receiver's recv (or recv_reduce), so an unmatched
+/// message cannot be represented. A local op `{step, rank, segments}`
+/// permutes the rank's full vector. No bytes are stored: message size only
+/// scales the bytes of each block, so the structure -- steps, peers, block
+/// sets, segment counts -- is a pure function of (algorithm, p, root,
+/// torus_dims), and `bytes_of` resolves an op's bytes at the schedule's
+/// `elem_count`/`elem_size` by the same integer block arithmetic every
+/// consumer uses. Generators must stay size-oblivious (never branch on
+/// elem_count); test_schedule_cache pins that for every registry entry.
+///
+/// Consumers read the per-rank view through `for_each_op_step_major`, the
+/// one definition of canonical op order: sched::SizeFreeSchedule::from
+/// (schedule_cache.hpp, the form the simulator and the compiled executor
+/// run) and the reference oracles (net::simulate_reference,
+/// runtime::execute_reference).
 ///
 /// Block-range storage lives in a per-schedule ScheduleArena (blocks.hpp):
-/// `Op::blocks` values point into it (or hold tiny sets inline), so the
+/// `Record::blocks` values point into it (or hold tiny sets inline), so the
 /// schedule must not outlive its arena -- which `arena_` guarantees for the
 /// normal value-semantics usage, including splicing via coll::sequence
 /// (which retains the donor arena).
@@ -82,19 +85,26 @@ enum class OpKind {
   local_perm,  ///< local buffer shuffle (costs memory bandwidth, moves no bytes on wires)
 };
 
-/// One operation of one rank within one step.
+/// One operation of one rank within one step, as the canonical order
+/// yields it (see for_each_op_step_major).
 struct Op {
   OpKind kind = OpKind::send;
-  Rank peer = -1;      ///< counterpart rank (unused for local_perm)
-  BlockSet blocks;     ///< logical block ids (empty in coarse mode)
-  i64 bytes = 0;       ///< wire bytes (local_perm: bytes shuffled in memory)
+  Rank peer = -1;      ///< counterpart rank (-1 for local_perm)
+  BlockSet blocks;     ///< logical block ids (empty for local_perm: full vector)
   i64 segments = 1;    ///< contiguous memory segments touched by this op
 };
 
-/// All ops a rank performs in one synchronized step. Sends and receives in
-/// the same step proceed concurrently (sendrecv exchange).
-struct RankStep {
-  std::vector<Op> ops;
+/// One generator call. An exchange moves `blocks` from `from` to `to`, the
+/// receiver replacing its slots or, with `reduce`, folding into them. A
+/// local op (`to < 0`) permutes `from`'s full vector.
+struct Record {
+  std::uint32_t step = 0;
+  std::int32_t from = 0;
+  std::int32_t to = -1;
+  std::int32_t segments = 1;
+  bool reduce = false;
+  BlockSet blocks;
+  [[nodiscard]] bool local() const noexcept { return to < 0; }
 };
 
 struct Schedule {
@@ -106,23 +116,21 @@ struct Schedule {
   i64 elem_count = 0;     ///< vector length (elements, per the collective's convention)
   i64 elem_size = 4;      ///< bytes per element
   Rank root = 0;          ///< for rooted collectives
-  bool detail = true;     ///< block-accurate ops (required by the executor)
-  /// steps[rank][step]
-  std::vector<std::vector<RankStep>> steps;
 
-  /// Number of synchronized steps: the max over ranks, so a ragged schedule
-  /// (one that missed normalize_steps()) can never be silently
-  /// under-simulated. validate() still rejects ragged schedules outright;
-  /// consumers that index steps[r][t] must bound t by steps[r].size().
-  [[nodiscard]] size_t num_steps() const noexcept {
-    size_t n = 0;
-    for (const auto& rank_steps : steps) n = std::max(n, rank_steps.size());
-    return n;
-  }
+  /// Number of synchronized steps: one past the last step any record uses.
+  /// Empty intermediate steps keep their index.
+  [[nodiscard]] size_t num_steps() const noexcept { return steps_; }
+
+  /// Every generator call, in call order.
+  [[nodiscard]] std::span<const Record> records() const noexcept { return records_; }
 
   /// Bytes covered by a block set under this schedule's vector config.
   [[nodiscard]] i64 bytes_of(const BlockSet& set) const {
     return set.elem_count(total_elems(), nblocks) * elem_size;
+  }
+  /// Bytes an op moves: its blocks', or the full vector for local_perm.
+  [[nodiscard]] i64 bytes_of(const Op& op) const {
+    return op.kind == OpKind::local_perm ? total_elems() * elem_size : bytes_of(op.blocks);
   }
 
   /// Total elements across the block space (pairwise: p vectors of elem_count).
@@ -130,26 +138,22 @@ struct Schedule {
     return space == BlockSpace::pairwise ? elem_count * p : elem_count;
   }
 
-  /// Append a matched send/recv pair at `step`, growing only the two
-  /// involved ranks' step vectors (generators finish with normalize_steps()).
+  /// Append an exchange `from -> to` at `step`.
   /// `segments` overrides the memory-contiguity estimate derived
   /// from the block set (-1 = derive): strategies that pack (Permute/Send)
   /// force 1, strategies that issue per-block sends force the block count.
   void add_exchange(size_t step, Rank from, Rank to, BlockSet blocks, bool reduce,
                     i64 segments = -1);
 
-  /// Append a one-sided op (local_perm), growing only `r`'s step vector.
-  void add_local(size_t step, Rank r, i64 bytes_moved, i64 segs);
+  /// Append a local permutation of `r`'s full vector touching `segs` segments.
+  void add_local(size_t step, Rank r, i64 segs);
 
-  /// Ensure all ranks have the same number of steps (pad with empty).
-  void normalize_steps();
-
-  /// Sum of wire bytes over all sends.
+  /// Sum of wire bytes over all exchanges.
   [[nodiscard]] i64 total_wire_bytes() const;
 
-  /// Structural validation: every send has a matching recv in the same step
-  /// with the same blocks/bytes, peers are in range, block ids valid.
-  /// Returns an empty string when valid, else a description of the problem.
+  /// Range validation: ranks, peers and block ranges lie inside the
+  /// schedule's bounds. Returns an empty string when valid, else a
+  /// description of the problem.
   [[nodiscard]] std::string validate() const;
 
   /// Arena backing this schedule's BlockSet range storage (created lazily;
@@ -161,7 +165,7 @@ struct Schedule {
   [[nodiscard]] std::shared_ptr<const ScheduleArena> arena_handle() const {
     return arena_;
   }
-  /// Keep `donor`'s arena alive: required before splicing its ops in.
+  /// Keep `donor`'s arena alive: required before splicing its records in.
   /// Rebases this schedule onto a fresh arena that retains both the previous
   /// one and the donor's, so an arena shared with another schedule (e.g.
   /// after copy) is never mutated and retention edges always point from
@@ -175,22 +179,42 @@ struct Schedule {
   }
 
  private:
+  std::vector<Record> records_;
+  size_t steps_ = 0;
   std::shared_ptr<ScheduleArena> arena_;
 };
 
+/// The canonical op order of a schedule: `ref[k]` is `2 * record + side`
+/// (side 0: the sender's send or the local op, side 1: the receiver's
+/// recv), sorted by (step, rank) with each rank's call order kept;
+/// `step_begin` is the num_steps()+1 CSR over `ref`. Two stable counting
+/// sorts (by rank, then by step): linear in ops + p + steps.
+struct OpOrder {
+  std::vector<std::uint32_t> ref;
+  std::vector<std::uint32_t> step_begin;
+};
+[[nodiscard]] OpOrder canonical_order(const Schedule& s);
+
 /// Visit every op of `s` in the canonical flat order: step-major, ranks
-/// increasing within a step, original per-rank op order, ragged ranks
-/// contributing nothing past their last step. Calls `op(rank, o)` per op and
-/// `step_end(t)` after each step. This is the one definition of IR order,
-/// shared by SizeFreeSchedule::from and runtime::ExecPlan::lower.
+/// increasing within a step, each rank's ops in generator call order.
+/// Calls `op(rank, o)` per op and `step_end(t)` after each step (empty steps
+/// included). This is the one definition of IR order, shared by
+/// SizeFreeSchedule::from and the reference oracles; an op's bytes are
+/// `s.bytes_of(o)`.
 template <class OpFn, class StepEndFn>
-void for_each_op_step_major(const Schedule& s, size_t steps, OpFn&& op,
-                            StepEndFn&& step_end) {
-  for (size_t t = 0; t < steps; ++t) {
-    for (Rank r = 0; r < s.p; ++r) {
-      const auto& rank_steps = s.steps[static_cast<size_t>(r)];
-      if (t >= rank_steps.size()) continue;
-      for (const Op& o : rank_steps[t].ops) op(r, o);
+void for_each_op_step_major(const Schedule& s, OpFn&& op, StepEndFn&& step_end) {
+  const OpOrder order = canonical_order(s);
+  const std::span<const Record> records = s.records();
+  for (size_t t = 0; t < s.num_steps(); ++t) {
+    for (std::uint32_t k = order.step_begin[t]; k < order.step_begin[t + 1]; ++k) {
+      const Record& rec = records[order.ref[k] >> 1];
+      if (order.ref[k] & 1u)
+        op(Rank{rec.to}, Op{rec.reduce ? OpKind::recv_reduce : OpKind::recv, rec.from,
+                            rec.blocks, rec.segments});
+      else if (rec.local())
+        op(Rank{rec.from}, Op{OpKind::local_perm, -1, {}, rec.segments});
+      else
+        op(Rank{rec.from}, Op{OpKind::send, rec.to, rec.blocks, rec.segments});
     }
     step_end(t);
   }

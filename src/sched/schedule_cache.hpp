@@ -14,67 +14,39 @@
 
 #include "sched/schedule.hpp"
 
-/// Size-independent schedule memoization: the generation fast path.
+/// Schedule memoization and the size-free IR: the generation fast path.
 ///
-/// Schedule *structure* -- steps, peers, block sets, segment counts -- is a
-/// pure function of (algorithm, collective, p, root, torus_dims); message
-/// size only scales per-op byte counts through `Schedule::bytes_of`'s block
-/// arithmetic (see the invariant note in schedule.hpp). The evaluation grids
-/// exploit none of that when every (collective, algorithm, nodes, size) cell
-/// regenerates its BlockSet-heavy schedule from scratch, and generation
-/// dominates sweep wall time.
+/// A schedule's structure -- steps, peers, block sets, segment counts -- is
+/// a pure function of (algorithm, collective, p, root, torus_dims), and a
+/// sched::Schedule stores no bytes at all (schedule.hpp): message size only
+/// scales each block. So one generation serves every message size of a
+/// sweep.
 ///
 /// `SizeFreeSchedule` is the memoized artifact and the simulator's IR: a flat
 /// SoA op stream (step-major, ranks increasing, plain recvs dropped) whose
 /// byte column is *abstracted* -- each op carries its block ranges (CSR into
 /// one owned array) or a full-vector marker, and net::simulate_candidates
-/// resolves wire bytes for any (elem_count, elem_size) from them. One cached
-/// entry therefore serves an entire message-size sweep.
+/// resolves wire bytes for any (elem_count, elem_size) from them, with the
+/// same integer arithmetic as `Schedule::bytes_of`.
 ///
 /// Beyond the simulation columns, the entry carries an *execution overlay*:
 /// every receive-type op (plain recvs included -- the simulation stream drops
 /// them) with its block ranges, in the canonical step-major/receiver order.
 /// runtime::ExecPlan::from_size_free consumes it, which is how the runtime
-/// executor and the verification harness run off the same cached artifact as
-/// the simulator (DESIGN.md has the full pipeline).
+/// executor and the verification harness run off the same artifact as the
+/// simulator (DESIGN.md has the full pipeline).
 ///
-/// Safety over faith, two layers:
-///
-///   * `from()` verifies that re-deriving every op's bytes from its blocks
-///     reproduces the generator's baked bytes exactly; any op that fails
-///     (e.g. a coarse-mode schedule carrying bytes without blocks, or a
-///     local op moving something other than the full vector) marks the
-///     entry `size_independent = false`.
-///   * `ScheduleCache::get` builds the schedule at TWO canonical element
-///     counts -- one tiny, one ~256 MiB-vector sized, chosen with different
-///     divisibility patterns -- and demotes the entry unless the resulting
-///     size-free structures are identical. A generator whose *structure*
-///     branches on elem_count (a size-threshold algorithm switch, a
-///     parity-dependent segmentation) is caught unless it branches only
-///     beyond the large probe.
-///
-/// The two layers demote for different reasons, with different outcomes.
-/// An entry demoted for its *structure* makes callers (harness::Runner) fall
-/// back to fresh generation for that algorithm, one size at a time: each
-/// fresh schedule is byte-consistent on its own and simulates normally. An
-/// entry demoted for its *bytes* cannot be simulated at all -- the one
-/// engine resolves wire bytes from blocks -- so the Schedule-level
-/// net::simulate/net::measure_traffic and Runner's fresh-generation
-/// fallback throw std::logic_error naming the algorithm. No registry
-/// generator produces such a schedule. For entries that pass, resolution at
-/// any size runs the *same* integer arithmetic `add_exchange` would, so
-/// cached and uncached paths are bit-exact -- which the parity tests assert.
+/// `ScheduleCache` memoizes entries per key. With the cache off
+/// (BINE_SCHED_CACHE=0), harness::Runner builds an unmemoized entry per call
+/// and runs the same engines on it.
 namespace bine::sched {
 
-/// Size-independent compiled form of one schedule (see file comment).
+/// Size-free compiled form of one schedule (see file comment).
 struct SizeFreeSchedule {
   i64 p = 0;
   i64 nblocks = 0;
   BlockSpace space = BlockSpace::per_vector;
   size_t steps = 0;
-  /// False when build-time verification failed; the entry must not be
-  /// simulated or executed (see the file comment for what callers do).
-  bool size_independent = true;
 
   /// CSR over the op arrays: ops of step t are [step_begin[t], step_begin[t+1]).
   std::vector<std::uint32_t> step_begin;
@@ -125,14 +97,8 @@ struct SizeFreeSchedule {
   [[nodiscard]] size_t num_ops() const noexcept { return kind.size(); }
   [[nodiscard]] size_t num_recv_ops() const noexcept { return recv_rank.size(); }
 
-  /// Compile `s` into size-free form, verifying byte resolvability against
-  /// the bytes `s` was generated with.
+  /// Compile `s` into size-free form, in canonical op order.
   [[nodiscard]] static SizeFreeSchedule from(const Schedule& s);
-
-  /// True when `a` and `b` describe the identical structure (everything but
-  /// the sizes they were built at).
-  [[nodiscard]] static bool same_structure(const SizeFreeSchedule& a,
-                                           const SizeFreeSchedule& b);
 };
 
 /// Key of one memoized schedule: the registry algorithm name plus every
@@ -210,12 +176,12 @@ struct ScheduleKeyLess {
 /// is copy- and contention-free.
 class ScheduleCache {
  public:
-  /// Generator hook: build the schedule with the given elem_count (every
-  /// other config knob fixed by the key). Called twice on a miss, at the two
-  /// canonical verification sizes.
+  /// Generator hook: build the schedule (every structural knob fixed by the
+  /// key). Called once on a miss; the elem_count it is handed only sets the
+  /// schedule's own byte resolution, which the entry does not keep.
   using Builder = std::function<Schedule(i64 elem_count)>;
 
-  /// The cached entry for `key`, building (and verifying) it on first use.
+  /// The cached entry for `key`, building it on first use.
   /// Exceptions from `build` propagate and cache nothing.
   [[nodiscard]] std::shared_ptr<const SizeFreeSchedule> get(const ScheduleKeyView& key,
                                                             const Builder& build);

@@ -1,5 +1,6 @@
-// Compiled execution engine tests: compiled-vs-nested-reference parity
-// across the whole registry (buffers, contributor sets, message accounting),
+// Compiled execution engine tests: compiled-vs-reference parity across the
+// whole registry (buffers, contributor sets, message accounting), simulator
+// message and wire-byte totals against the executor's deliveries,
 // cached-plan/direct-lowering equivalence, duplicate-contribution detection
 // parity, threaded-executor determinism, Runner's verified-execution path on
 // all four topology-family profiles with the cache on and off, and
@@ -15,6 +16,9 @@
 #include "coll/registry.hpp"
 #include "harness/runner.hpp"
 #include "net/profiles.hpp"
+#include "net/route_cache.hpp"
+#include "net/simulate.hpp"
+#include "net/topology.hpp"
 #include "runtime/compiled_executor.hpp"
 #include "runtime/exec_plan.hpp"
 #include "runtime/executor.hpp"
@@ -36,7 +40,7 @@ std::vector<std::vector<u64>> make_inputs(i64 p, i64 elems) {
   return in;
 }
 
-/// Bit-exact comparison of a compiled result against the nested reference:
+/// Bit-exact comparison of a compiled result against the reference executor:
 /// validity, data, contributor sets, and message accounting.
 void expect_matches_reference(const runtime::ExecResult<u64>& ref,
                               const runtime::CompiledExecResult<u64>& got,
@@ -61,7 +65,7 @@ void expect_matches_reference(const runtime::ExecResult<u64>& ref,
 
 // The tentpole invariant: for EVERY registered algorithm of every collective
 // (topology-specialized torus/hierarchical generators included), the compiled
-// executor must be bit-exact with the nested reference -- and must satisfy
+// executor must be bit-exact with the reference executor -- and must satisfy
 // the collective's postcondition through the compiled verify overload.
 TEST(ExecEngine, CompiledMatchesReferenceAcrossRegistry) {
   for (const sched::Collective coll : coll::all_collectives()) {
@@ -87,8 +91,48 @@ TEST(ExecEngine, CompiledMatchesReferenceAcrossRegistry) {
   }
 }
 
+// Two independent counts of the same traffic must agree for every registry
+// entry, torus and hierarchical generators included (on the torus shape
+// their config names): the simulator's message total against the compiled
+// executor's delivered messages, and Schedule::total_wire_bytes against the
+// executor's delivered wire bytes.
+TEST(ExecEngine, SimulatorCountsMatchExecutorDeliveries) {
+  const net::CostParams cp;
+  for (const i64 p : {16, 24}) {
+    const std::vector<i64> dims = p == 16 ? std::vector<i64>{4, 4} : std::vector<i64>{2, 3, 4};
+    const net::Torus topo(dims, 6.8e9);
+    const net::RouteCache rc(topo, net::Placement::identity(p));
+    for (const sched::Collective coll : coll::all_collectives()) {
+      for (const auto& entry : coll::algorithms_for(coll)) {
+        if (entry.pow2_only && !is_pow2(p)) continue;
+        SCOPED_TRACE(std::string(to_string(coll)) + "/" + entry.name +
+                     " p=" + std::to_string(p));
+        coll::Config cfg;
+        cfg.p = p;
+        cfg.elem_count = 3 * p + 5;
+        cfg.elem_size = 8;
+        cfg.torus_dims = dims;
+        const sched::Schedule sch = entry.make(cfg);
+
+        const sched::SizeFreeSchedule sf = sched::SizeFreeSchedule::from(sch);
+        const sched::SizeFreeSchedule* pool[] = {&sf};
+        const i64 n[] = {cfg.elem_count};
+        const net::SimResult sim =
+            net::simulate_candidates(pool, n, cfg.elem_size, rc, cp)[0][0];
+
+        const runtime::ExecPlan plan = runtime::ExecPlan::lower(sch);
+        const auto got =
+            runtime::execute<u64>(plan, runtime::ReduceOp::sum, make_inputs(p, cfg.elem_count));
+        EXPECT_GT(got.messages, 0);
+        EXPECT_EQ(sim.traffic.messages, got.messages);
+        EXPECT_EQ(sch.total_wire_bytes(), got.wire_bytes);
+      }
+    }
+  }
+}
+
 // A plan re-materialized from the cache's execution overlay must be
-// indistinguishable from one lowered directly off the nested schedule, at
+// indistinguishable from one lowered directly off a fresh schedule, at
 // any vector size -- the execution analogue of resolve-vs-lower parity.
 TEST(ExecEngine, PlanFromSizeFreeMatchesDirectLowering) {
   const struct {
@@ -118,7 +162,6 @@ TEST(ExecEngine, PlanFromSizeFreeMatchesDirectLowering) {
       build_cfg.elem_size = 8;
       const auto sf = std::make_shared<const sched::SizeFreeSchedule>(
           sched::SizeFreeSchedule::from(entry.make(build_cfg)));
-      ASSERT_TRUE(sf->size_independent);
 
       const runtime::ExecSkeleton* skeleton = nullptr;
       for (const i64 elem_count : {p, 3 * p + 5, i64{8192}}) {
@@ -165,7 +208,7 @@ TEST(ExecEngine, PlanFromSizeFreeMatchesDirectLowering) {
 
 // The data-dependent correctness hazard (Appendix C): a schedule that folds
 // the same contributor twice must throw in the compiled engine exactly as it
-// does in the nested reference, sequential and threaded.
+// does in the reference executor, sequential and threaded.
 TEST(ExecEngine, DuplicateContributionDetectionParity) {
   coll::Config cfg;
   cfg.p = 4;
@@ -175,7 +218,6 @@ TEST(ExecEngine, DuplicateContributionDetectionParity) {
   sch.add_exchange(0, 1, 0, sched::BlockSet::all(4), true);
   sch.add_exchange(1, 1, 0, sched::BlockSet::all(4), true);
   sch.add_exchange(0, 3, 2, sched::BlockSet::all(4), true);
-  sch.normalize_steps();
   const auto in = make_inputs(4, 8);
   EXPECT_THROW(runtime::execute_reference<u64>(sch, runtime::ReduceOp::sum, in),
                std::runtime_error);
@@ -186,26 +228,19 @@ TEST(ExecEngine, DuplicateContributionDetectionParity) {
                std::runtime_error);
 }
 
-// Structurally broken schedules must be rejected at plan-lowering time (the
-// compiled analogue of the reference's runtime validate-and-throw).
+// Out-of-range records must be rejected at plan-lowering time (the
+// compiled analogue of the reference's validate-and-throw).
 TEST(ExecEngine, LoweringRejectsInvalidSchedules) {
   coll::Config cfg;
   cfg.p = 4;
   cfg.elem_count = 8;
-  sched::Schedule sch = coll::make_base(sched::Collective::bcast, cfg, "unmatched",
+  sched::Schedule sch = coll::make_base(sched::Collective::bcast, cfg, "out_of_range",
                                         sched::BlockSpace::per_vector);
-  // Hand-craft a send with no matching recv.
-  sch.steps[0].resize(1);
-  sch.steps[0][0].ops.push_back(
-      {sched::OpKind::send, 1, sched::BlockSet::all(4), 8 * 4, 1});
-  sch.normalize_steps();
+  sch.add_exchange(0, 0, 1, sched::BlockSet::run(-1, 2), false);
   EXPECT_THROW((void)runtime::ExecPlan::lower(sch), std::runtime_error);
-
-  sched::Schedule coarse = coll::make_base(sched::Collective::bcast, cfg, "coarse",
-                                           sched::BlockSpace::per_vector);
-  coarse.detail = false;
-  coarse.normalize_steps();
-  EXPECT_THROW((void)runtime::ExecPlan::lower(coarse), std::runtime_error);
+  const auto in = make_inputs(4, 8);
+  EXPECT_THROW(runtime::execute_reference<u64>(sch, runtime::ReduceOp::sum, in),
+               std::runtime_error);
 }
 
 // Threaded phase fan-out must be bit-identical to the sequential pass for
@@ -354,7 +389,7 @@ TEST(ExecEngine, SecondRunnerHitsProcessWideScheduleCache) {
 // Pair-tiling: a delivery whose read cells only PARTIALLY overlap the cells
 // written at its sender this step must stage exactly the overlapping tile --
 // the rest reads the sender's live buffer in place -- while staying bit-exact
-// with the nested reference.
+// with the reference executor.
 TEST(ExecEngine, PairTilingStagesOnlyOverlappingTiles) {
   coll::Config cfg;
   cfg.p = 4;
@@ -372,7 +407,6 @@ TEST(ExecEngine, PairTilingStagesOnlyOverlappingTiles) {
   sch.add_exchange(0, 1, 0, sched::BlockSet::single(2), true);
   sch.add_exchange(0, 2, 3, sched::BlockSet::run(1, 2), true);
   sch.add_exchange(0, 3, 2, sched::BlockSet::single(0), true);
-  sch.normalize_steps();
 
   const runtime::ExecPlan plan = runtime::ExecPlan::lower(sch);
   ASSERT_EQ(plan.num_ops(), 4u);

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "coll/registry.hpp"
 #include "sched/blocks.hpp"
 
 namespace bs = bine::sched;
@@ -171,18 +175,22 @@ TEST(Blocks, ArenaSpansAreStableAcrossGrowth) {
   EXPECT_LE(arena.chunk_count(), 16u);
 }
 
-TEST(Schedule, ValidateCatchesByteMismatch) {
+TEST(Schedule, ValidateChecksRanges) {
   bs::Schedule s;
   s.coll = bs::Collective::bcast;
   s.p = 2;
   s.nblocks = 2;
   s.elem_count = 8;
   s.elem_size = 4;
-  s.steps.assign(2, {});
   s.add_exchange(0, 0, 1, bs::BlockSet::all(2), false);
+  s.add_local(1, 1, 1);
   EXPECT_EQ(s.validate(), "");
-  s.steps[1][0].ops[0].bytes += 1;
-  EXPECT_NE(s.validate(), "");
+  bs::Schedule bad_block = s;
+  bad_block.add_exchange(1, 1, 0, bs::BlockSet::run(2, 1), false);  // ids are 0..1
+  EXPECT_NE(bad_block.validate(), "");
+  bs::Schedule bad_count = s;
+  bad_count.add_exchange(1, 1, 0, bs::BlockSet::run(0, 3), false);
+  EXPECT_NE(bad_count.validate(), "");
 }
 
 TEST(Schedule, TotalWireBytes) {
@@ -192,29 +200,102 @@ TEST(Schedule, TotalWireBytes) {
   s.nblocks = 4;
   s.elem_count = 16;  // 4 elems per block
   s.elem_size = 4;
-  s.steps.assign(4, {});
   s.add_exchange(0, 0, 1, bs::BlockSet::all(4), false);   // 64 bytes
   s.add_exchange(1, 0, 2, bs::BlockSet::single(2), false);  // 16 bytes
-  s.normalize_steps();
+  s.add_local(1, 3, 1);                                   // moves no wire bytes
   EXPECT_EQ(s.total_wire_bytes(), 64 + 16);
 }
 
-// Appending an op grows only the involved ranks' step vectors: generation is
-// O(1) per exchange instead of O(p). normalize_steps() evens the ranks out.
-TEST(Schedule, AddExchangeGrowsOnlyInvolvedRanks) {
+// One record per generator call; the canonical order expands each exchange
+// into its send (at `from`) and recv (at `to`), resolves bytes at the
+// schedule's size, and keeps an empty intermediate step's index.
+TEST(Schedule, CanonicalOrderExpandsRecordsAndKeepsEmptySteps) {
   bs::Schedule sch;
   sch.p = 8;
   sch.nblocks = 8;
   sch.elem_count = 64;
-  sch.steps.assign(8, {});
-  sch.add_exchange(2, 1, 5, bs::BlockSet::all(8), false);
-  sch.add_local(1, 6, sch.elem_count * sch.elem_size, 1);
-  for (i64 r = 0; r < sch.p; ++r) {
-    const size_t want = r == 1 || r == 5 ? 3 : r == 6 ? 2 : 0;
-    EXPECT_EQ(sch.steps[static_cast<size_t>(r)].size(), want) << "rank " << r;
+  sch.add_exchange(3, 5, 1, bs::BlockSet::single(2), true);
+  sch.add_exchange(3, 1, 5, bs::BlockSet::all(8), false);
+  sch.add_local(1, 6, 2);
+  EXPECT_EQ(sch.records().size(), 3u);
+  EXPECT_EQ(sch.num_steps(), 4u);
+
+  struct Seen {
+    size_t step;
+    i64 rank;
+    bs::OpKind kind;
+    i64 peer;
+    i64 bytes;
+  };
+  std::vector<Seen> seen;
+  std::vector<size_t> step_ends;
+  size_t step = 0;
+  bs::for_each_op_step_major(
+      sch,
+      [&](i64 r, const bs::Op& op) {
+        seen.push_back({step, r, op.kind, op.peer, sch.bytes_of(op)});
+      },
+      [&](size_t t) {
+        step_ends.push_back(t);
+        step = t + 1;
+      });
+  EXPECT_EQ(step_ends, (std::vector<size_t>{0, 1, 2, 3}));
+  ASSERT_EQ(seen.size(), 5u);
+  // Step 1: rank 6's local op moves the full vector.
+  EXPECT_EQ(seen[0].step, 1u);
+  EXPECT_EQ(seen[0].rank, 6);
+  EXPECT_EQ(seen[0].kind, bs::OpKind::local_perm);
+  EXPECT_EQ(seen[0].bytes, 64 * 4);
+  // Step 3: rank 1 (recv_reduce then send, in call order), then rank 5.
+  const std::vector<std::pair<i64, bs::OpKind>> want = {
+      {1, bs::OpKind::recv_reduce}, {1, bs::OpKind::send},
+      {5, bs::OpKind::send}, {5, bs::OpKind::recv}};
+  for (size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(seen[k + 1].step, 3u);
+    EXPECT_EQ(seen[k + 1].rank, want[k].first) << k;
+    EXPECT_EQ(seen[k + 1].kind, want[k].second) << k;
   }
-  EXPECT_EQ(sch.num_steps(), 3u);
-  sch.normalize_steps();
-  for (const auto& rank_steps : sch.steps) EXPECT_EQ(rank_steps.size(), 3u);
+  EXPECT_EQ(seen[1].bytes, 8 * 4);   // one block of 8 elements
+  EXPECT_EQ(seen[2].bytes, 64 * 4);  // all eight blocks
+  EXPECT_EQ(seen[2].peer, 5);
   EXPECT_EQ(sch.validate(), "");
+}
+
+// The counting sort behind the canonical order must agree with a stable
+// comparison sort by (step, rank) over every registry generator, at a pow2
+// and a non-pow2 p.
+TEST(Schedule, CanonicalOrderMatchesStableSortForEveryGenerator) {
+  for (const i64 p : {16, 24}) {
+    for (const bs::Collective c : bine::coll::all_collectives()) {
+      for (const auto& entry : bine::coll::algorithms_for(c)) {
+        if (entry.pow2_only && !bine::is_pow2(p)) continue;
+        SCOPED_TRACE(entry.name + " p=" + std::to_string(p));
+        bine::coll::Config cfg;
+        cfg.p = p;
+        cfg.elem_count = p;
+        cfg.torus_dims = p == 16 ? std::vector<i64>{4, 4} : std::vector<i64>{2, 3, 4};
+        const bs::Schedule sch = entry.make(cfg);
+        ASSERT_EQ(sch.validate(), "");
+
+        const auto recs = sch.records();
+        std::vector<std::uint32_t> want;
+        for (std::uint32_t i = 0; i < recs.size(); ++i) {
+          want.push_back(2 * i);
+          if (!recs[i].local()) want.push_back(2 * i + 1);
+        }
+        const auto key = [&](std::uint32_t ref) {
+          const bs::Record& rec = recs[ref >> 1];
+          return std::make_pair(rec.step, (ref & 1u) ? rec.to : rec.from);
+        };
+        std::stable_sort(want.begin(), want.end(),
+                         [&](std::uint32_t a, std::uint32_t b) { return key(a) < key(b); });
+        const bs::OpOrder order = bs::canonical_order(sch);
+        EXPECT_EQ(order.ref, want);
+        ASSERT_EQ(order.step_begin.size(), sch.num_steps() + 1);
+        for (size_t t = 0; t < sch.num_steps(); ++t)
+          for (std::uint32_t k = order.step_begin[t]; k < order.step_begin[t + 1]; ++k)
+            EXPECT_EQ(key(order.ref[k]).first, t);
+      }
+    }
+  }
 }

@@ -1,16 +1,15 @@
-// Schedule-generation fast path tests: a cached SizeFreeSchedule simulates
-// bit-identically to the size-free form of fresh generation at every vector
-// size, Runner cached-vs-uncached bit-exactness across all four topology
-// families, sweep output against the reference oracle and across thread
-// counts and cache modes, demotion of size-dependent schedules (and the
-// engine's refusal to simulate byte-inconsistent ones), and scoped
-// RouteCache equality with the eager build.
+// Schedule-generation fast path tests: every registry generator is
+// size-oblivious (a cached SizeFreeSchedule has the columns of, and
+// simulates bit-identically to, fresh generation at every vector size), one
+// generation per cache miss, Runner cached-vs-uncached bit-exactness across
+// all four topology families, sweep output against the reference oracle and
+// across thread counts and cache modes, and scoped RouteCache equality with
+// the eager build.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -24,151 +23,94 @@
 
 using namespace bine;
 
-// One cached SizeFreeSchedule entry must simulate, at EVERY vector size,
-// bit-identically to the size-free form of a fresh generation at that size
-// -- the size-independence invariant the cache is built on.
+namespace {
+
+/// Every column of two size-free schedules (the structure a cache entry
+/// stores) is identical.
+bool same_columns(const sched::SizeFreeSchedule& a, const sched::SizeFreeSchedule& b) {
+  return a.p == b.p && a.nblocks == b.nblocks && a.space == b.space &&
+         a.steps == b.steps && a.step_begin == b.step_begin && a.kind == b.kind &&
+         a.rank == b.rank && a.peer == b.peer &&
+         a.extra_segments == b.extra_segments && a.block_begin == b.block_begin &&
+         a.ranges == b.ranges && a.full_vector == b.full_vector &&
+         a.recv_step_begin == b.recv_step_begin && a.recv_rank == b.recv_rank &&
+         a.recv_peer == b.recv_peer && a.recv_reduce == b.recv_reduce &&
+         a.recv_block_begin == b.recv_block_begin && a.recv_ranges == b.recv_ranges;
+}
+
+}  // namespace
+
+// The size-independence guard. A cache entry is generated once and serves
+// every message size, so every registry generator -- specialized torus and
+// hierarchical ones included -- must emit the same structure at any
+// elem_count, and the entry must simulate bit-identically to a fresh
+// generation at that size. Sizes include one element per rank and a
+// ~256 MiB vector with a non-divisible remainder (p and 2^26 + 5p + 2), so
+// a generator branching on elem_count anywhere in that range fails here.
 TEST(SizeFreeSchedule, CachedEntrySimulatesLikeFreshGenerationAtEverySize) {
-  const struct {
-    sched::Collective coll;
-    const char* name;
-  } cases[] = {
-      {sched::Collective::allreduce, "recursive_doubling"},
-      {sched::Collective::allreduce, "rabenseifner"},
-      {sched::Collective::allreduce, "bine_two_trans"},
-      {sched::Collective::allreduce, "bine_permute"},
-      {sched::Collective::allreduce, "bine_send"},
-      {sched::Collective::allreduce, "ring"},
-      {sched::Collective::bcast, "binomial"},
-      {sched::Collective::bcast, "bine"},
-      {sched::Collective::bcast, "bine_scatter_allgather"},
-      {sched::Collective::reduce, "bine_rs_gather"},
-      {sched::Collective::reduce_scatter, "bine_block"},
-      {sched::Collective::allgather, "bruck"},
-      {sched::Collective::gather, "bine"},
-      {sched::Collective::scatter, "binomial"},
-      {sched::Collective::alltoall, "bruck"},
-      {sched::Collective::alltoall, "bine"},
-      {sched::Collective::alltoall, "pairwise"},
-  };
   const net::Torus topo({4, 4, 2}, 6.8e9);
   const net::CostParams cp;
   for (const i64 p : {16, 24}) {  // pow2 and non-pow2
     const net::RouteCache rc(topo, net::Placement::identity(p));
-    for (const auto& c : cases) {
-      const auto& entry = coll::find_algorithm(c.coll, c.name);
-      if (entry.pow2_only && !is_pow2(p)) continue;
-      SCOPED_TRACE(std::string(c.name) + " p=" + std::to_string(p));
+    for (const sched::Collective coll : coll::all_collectives()) {
+      for (const auto& entry : coll::algorithms_for(coll)) {
+        if (entry.pow2_only && !is_pow2(p)) continue;
+        SCOPED_TRACE(std::string(to_string(coll)) + "/" + entry.name +
+                     " p=" + std::to_string(p));
 
-      coll::Config build_cfg;
-      build_cfg.p = p;
-      build_cfg.elem_count = 3 * p + 1;  // canonical size != any probed size
-      const sched::SizeFreeSchedule cached =
-          sched::SizeFreeSchedule::from(entry.make(build_cfg));
-      ASSERT_TRUE(cached.size_independent);
+        coll::Config build_cfg;
+        build_cfg.p = p;
+        build_cfg.elem_count = 3 * p + 1;  // build size != any probed size
+        build_cfg.torus_dims = p == 16 ? std::vector<i64>{4, 4} : std::vector<i64>{2, 3, 4};
+        const sched::SizeFreeSchedule cached =
+            sched::SizeFreeSchedule::from(entry.make(build_cfg));
 
-      for (const i64 elem_count : {p, 2 * p, 7 * p + 3, i64{262144}}) {
-        coll::Config cfg = build_cfg;
-        cfg.elem_count = elem_count;
-        const sched::SizeFreeSchedule fresh =
-            sched::SizeFreeSchedule::from(entry.make(cfg));
-        ASSERT_TRUE(fresh.size_independent);
-        EXPECT_TRUE(sched::SizeFreeSchedule::same_structure(cached, fresh));
-        const sched::SizeFreeSchedule* a[] = {&cached};
-        const sched::SizeFreeSchedule* b[] = {&fresh};
-        const i64 n[] = {elem_count};
-        const net::SimResult x = net::simulate_candidates(a, n, 4, rc, cp)[0][0];
-        const net::SimResult y = net::simulate_candidates(b, n, 4, rc, cp)[0][0];
-        EXPECT_EQ(x.seconds, y.seconds) << "elem_count=" << elem_count;  // bitwise
-        EXPECT_EQ(x.traffic.local_bytes, y.traffic.local_bytes);
-        EXPECT_EQ(x.traffic.global_bytes, y.traffic.global_bytes);
-        EXPECT_EQ(x.traffic.intra_node_bytes, y.traffic.intra_node_bytes);
-        EXPECT_EQ(x.traffic.messages, y.traffic.messages);
-        EXPECT_EQ(x.steps, y.steps);
+        for (const i64 elem_count :
+             {p, 2 * p, 7 * p + 3, i64{262144}, (i64{1} << 26) + 5 * p + 2}) {
+          coll::Config cfg = build_cfg;
+          cfg.elem_count = elem_count;
+          const sched::SizeFreeSchedule fresh =
+              sched::SizeFreeSchedule::from(entry.make(cfg));
+          EXPECT_TRUE(same_columns(cached, fresh)) << "elem_count=" << elem_count;
+          const sched::SizeFreeSchedule* a[] = {&cached};
+          const sched::SizeFreeSchedule* b[] = {&fresh};
+          const i64 n[] = {elem_count};
+          const net::SimResult x = net::simulate_candidates(a, n, 4, rc, cp)[0][0];
+          const net::SimResult y = net::simulate_candidates(b, n, 4, rc, cp)[0][0];
+          EXPECT_EQ(x.seconds, y.seconds) << "elem_count=" << elem_count;  // bitwise
+          EXPECT_EQ(x.traffic.local_bytes, y.traffic.local_bytes);
+          EXPECT_EQ(x.traffic.global_bytes, y.traffic.global_bytes);
+          EXPECT_EQ(x.traffic.intra_node_bytes, y.traffic.intra_node_bytes);
+          EXPECT_EQ(x.traffic.messages, y.traffic.messages);
+          EXPECT_EQ(x.steps, y.steps);
+        }
       }
     }
   }
 }
 
-// A schedule whose bytes can't be re-derived from blocks (here: a local op
-// moving half the vector) must be demoted, never mis-resolved.
-TEST(SizeFreeSchedule, SizeDependentSchedulesAreDemoted) {
-  sched::Schedule sch;
-  sch.coll = sched::Collective::allreduce;
-  sch.algorithm = "half_vector_local";
-  sch.p = 2;
-  sch.nblocks = 2;
-  sch.elem_count = 64;
-  sch.elem_size = 4;
-  sch.steps.assign(2, {});
-  sch.add_exchange(0, 0, 1, sched::BlockSet::all(2), true);
-  sch.add_local(1, 0, /*bytes_moved=*/sch.elem_count * sch.elem_size / 2, 1);
-  sch.normalize_steps();
-  EXPECT_FALSE(sched::SizeFreeSchedule::from(sch).size_independent);
-
-  // The engine resolves bytes from blocks, so the Schedule-level
-  // conveniences refuse such a schedule, naming it, instead of simulating
-  // bytes it cannot derive.
-  const net::Torus topo(std::vector<i64>{2}, 6.8e9);
-  const net::Placement pl = net::Placement::identity(2);
-  EXPECT_THROW((void)net::simulate(sch, topo, pl, net::CostParams{}), std::logic_error);
-  EXPECT_THROW((void)net::measure_traffic(sch, topo, pl), std::logic_error);
-  try {
-    (void)net::simulate(sch, topo, pl, net::CostParams{});
-  } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("half_vector_local"), std::string::npos)
-        << e.what();
-  }
-
-  // The full-vector pattern every generator actually uses stays cacheable.
-  sched::Schedule ok = sch;
-  ok.steps.assign(2, {});
-  ok.add_exchange(0, 0, 1, sched::BlockSet::all(2), true);
-  ok.add_local(1, 0, ok.elem_count * ok.elem_size, 1);
-  ok.normalize_steps();
-  EXPECT_TRUE(sched::SizeFreeSchedule::from(ok).size_independent);
-  const net::SimResult got = net::simulate(ok, topo, pl, net::CostParams{});
-  const net::SimResult ref = net::simulate_reference(ok, topo, pl, net::CostParams{});
-  EXPECT_EQ(got.traffic.total(), ref.traffic.total());
-  EXPECT_EQ(got.traffic.messages, ref.traffic.messages);
-  EXPECT_NEAR(got.seconds, ref.seconds, ref.seconds * 1e-12);
-}
-
-// A generator whose *structure* (not just bytes) branches on elem_count is
-// internally byte-consistent at any one size, so only the cache's two-probe
-// structural cross-check can catch it. It must come back demoted.
-TEST(ScheduleCache, StructureBranchingOnElemCountIsDemoted) {
+// A miss generates exactly once; later requests hit the same entry.
+TEST(ScheduleCache, OneGenerationPerMiss) {
   sched::ScheduleCache cache;
   sched::ScheduleKey key;
   key.coll = sched::Collective::allreduce;
-  key.algorithm = "size_branching_fake";
+  key.algorithm = "recursive_doubling";
   key.p = 8;
-
+  int builds = 0;
   const auto build = [&](i64 elem_count) {
+    ++builds;
     coll::Config cfg;
     cfg.p = key.p;
     cfg.elem_count = elem_count;
-    // A size-threshold algorithm switch, the classic real-world offender.
-    const char* name = elem_count * cfg.elem_size > (i64{1} << 20) ? "ring"
-                                                                   : "recursive_doubling";
-    return coll::find_algorithm(sched::Collective::allreduce, name).make(cfg);
+    return coll::find_algorithm(key.coll, key.algorithm).make(cfg);
   };
-  EXPECT_FALSE(cache.get(key, build)->size_independent);
-
-  // An honest generator through the same two-probe path stays cacheable and
-  // hits on re-request.
-  sched::ScheduleKey honest = key;
-  honest.algorithm = "recursive_doubling";
-  const auto honest_build = [&](i64 elem_count) {
-    coll::Config cfg;
-    cfg.p = honest.p;
-    cfg.elem_count = elem_count;
-    return coll::find_algorithm(sched::Collective::allreduce, "recursive_doubling")
-        .make(cfg);
-  };
-  EXPECT_TRUE(cache.get(honest, honest_build)->size_independent);
-  EXPECT_EQ(cache.get(honest, honest_build), cache.get(honest, honest_build));
+  const auto first = cache.get(key, build);
+  EXPECT_EQ(builds, 1);
+  EXPECT_EQ(cache.get(key, build), first);
+  EXPECT_EQ(cache.get(key, build), first);
+  EXPECT_EQ(builds, 1);
   const auto stats = cache.stats();
-  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 2u);
 }
 
@@ -297,7 +239,9 @@ TEST(ScopedRouteCache, MatchesEagerOnSchedulePairs) {
     // Full simulation parity: the convenience overload (which routes scoped)
     // against the same engine on the eager cache.
     const net::SimResult conv = net::simulate(sch, topo, pl, cp);
-    const net::SimResult fast = net::simulate(sch, eager, cp);
+    const sched::SizeFreeSchedule* pool[] = {&sf};
+    const i64 n[] = {cfg.elem_count};
+    const net::SimResult fast = net::simulate_candidates(pool, n, 4, eager, cp)[0][0];
     EXPECT_EQ(conv.seconds, fast.seconds);
     EXPECT_EQ(conv.traffic.local_bytes, fast.traffic.local_bytes);
     EXPECT_EQ(conv.traffic.global_bytes, fast.traffic.global_bytes);

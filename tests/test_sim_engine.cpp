@@ -7,7 +7,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <map>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "coll/registry.hpp"
 #include "exp/paper_plans.hpp"
@@ -96,13 +99,28 @@ TEST(SizeFreeSchedule, SimulationStreamFollowsStepRankOrder) {
   EXPECT_EQ(sf.step_begin.front(), 0u);
   EXPECT_EQ(sf.step_begin.back(), sf.num_ops());
 
+  // The per-(step, rank) op lists, derived straight from the records in
+  // call order (independent of the canonical-order sort).
+  std::map<std::pair<size_t, i64>, std::vector<sched::Op>> ops_at;
+  for (const sched::Record& rec : sch.records()) {
+    if (rec.local()) {
+      ops_at[{rec.step, rec.from}].push_back(
+          {sched::OpKind::local_perm, -1, {}, rec.segments});
+      continue;
+    }
+    ops_at[{rec.step, rec.from}].push_back(
+        {sched::OpKind::send, rec.to, rec.blocks, rec.segments});
+    ops_at[{rec.step, rec.to}].push_back(
+        {rec.reduce ? sched::OpKind::recv_reduce : sched::OpKind::recv, rec.from,
+         rec.blocks, rec.segments});
+  }
+
   // Plain recvs are cost-free in the model and dropped from the simulation
   // stream; everything else must survive.
   size_t total_costed_ops = 0;
-  for (const auto& rank_steps : sch.steps)
-    for (const auto& st : rank_steps)
-      for (const auto& op : st.ops)
-        if (op.kind != sched::OpKind::recv) ++total_costed_ops;
+  for (const auto& [at, ops] : ops_at)
+    for (const auto& op : ops)
+      if (op.kind != sched::OpKind::recv) ++total_costed_ops;
   EXPECT_EQ(sf.num_ops(), total_costed_ops);
 
   // Within each step, ops must be grouped by non-decreasing rank and mirror
@@ -110,7 +128,7 @@ TEST(SizeFreeSchedule, SimulationStreamFollowsStepRankOrder) {
   // float-parity with the reference depend on this).
   auto costed_ops_of = [&](std::int32_t r, size_t t) {
     std::vector<const sched::Op*> ops;
-    for (const sched::Op& op : sch.steps[static_cast<size_t>(r)][t].ops)
+    for (const sched::Op& op : ops_at[{t, r}])
       if (op.kind != sched::OpKind::recv) ops.push_back(&op);
     return ops;
   };
@@ -176,7 +194,10 @@ TEST(SimEngine, ProductionMatchesReferenceAcrossTopologies) {
         EXPECT_EQ(fast_traffic.messages, ref_traffic.messages);
 
         const net::SimResult ref = net::simulate_reference(sch, *topo, pl, cp);
-        const net::SimResult fast = net::simulate(sch, rc, cp);
+        const sched::SizeFreeSchedule sf = sched::SizeFreeSchedule::from(sch);
+        const sched::SizeFreeSchedule* pool[] = {&sf};
+        const i64 n[] = {cfg.elem_count};
+        const net::SimResult fast = net::simulate_candidates(pool, n, 4, rc, cp)[0][0];
         EXPECT_EQ(fast.steps, ref.steps);
         EXPECT_EQ(fast.traffic.local_bytes, ref.traffic.local_bytes);
         EXPECT_EQ(fast.traffic.global_bytes, ref.traffic.global_bytes);
@@ -193,23 +214,19 @@ TEST(SimEngine, ProductionMatchesReferenceAcrossTopologies) {
   }
 }
 
-TEST(SimEngine, RaggedScheduleIsNotUnderSimulated) {
-  // Rank 0 sends in steps 0 and 1; the schedule is left ragged on purpose
-  // (rank 2 never grows past step 0's vector)...
+TEST(SimEngine, EmptyIntermediateStepsKeepTheirIndex) {
+  // Rank 0 sends in steps 0 and 2; step 1 is empty...
   sched::Schedule sch;
   sch.coll = sched::Collective::bcast;
-  sch.algorithm = "ragged_test";
+  sch.algorithm = "gap_test";
   sch.p = 3;
   sch.nblocks = 3;
   sch.elem_count = 300;
-  sch.steps.assign(3, {});
   sch.add_exchange(0, 0, 1, sched::BlockSet::all(3), false);
-  sch.add_exchange(1, 0, 2, sched::BlockSet::all(3), false);
-  sch.steps[2].resize(1);  // re-raggedify rank 2: one step vs two elsewhere
+  sch.add_exchange(2, 0, 2, sched::BlockSet::all(3), false);
 
-  // ...num_steps() must still see both steps, and both engines must count
-  // both sends.
-  EXPECT_EQ(sch.num_steps(), 2u);
+  // ...so there are three steps, and both engines count both sends.
+  EXPECT_EQ(sch.num_steps(), 3u);
   net::Torus topo({3}, 10e9);
   const net::Placement pl = net::Placement::identity(3);
   const net::CostParams cp;
@@ -217,7 +234,8 @@ TEST(SimEngine, RaggedScheduleIsNotUnderSimulated) {
   const net::SimResult fast = net::simulate(sch, topo, pl, cp);
   EXPECT_EQ(ref.traffic.messages, 2);
   EXPECT_EQ(fast.traffic.messages, 2);
-  EXPECT_EQ(fast.steps, 2u);
+  EXPECT_EQ(ref.steps, 3u);
+  EXPECT_EQ(fast.steps, 3u);
   EXPECT_NEAR(fast.seconds, ref.seconds, std::abs(ref.seconds) * 1e-12);
 }
 
